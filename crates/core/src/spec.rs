@@ -100,7 +100,7 @@ impl From<ParseError> for SpecError {
 ///
 /// Build one with [`FunctionalSpecBuilder`], or use
 /// [`crate::example::ExampleArch`] / [`crate::archspec::ArchSpec`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FunctionalSpec {
     pool: VarPool,
     stages: Vec<StageSpec>,

@@ -19,6 +19,15 @@
 //!   colour)` pairs — interface names *do* participate, because the
 //!   property text refers to them, while internal wire names never do.
 //!
+//! The refinement runs on a flattened cone: the cone is collected once into
+//! a dense array whose nodes name their children by cone-local index, each
+//! gate kind's tag is mixed once rather than per node per round, and the
+//! colours are double-buffered between rounds. The round count, the mixer
+//! and the `ipcl-structural-digest-v1` framing are those of the first
+//! version, and so is every digest bit for bit (pinned by golden values in
+//! `ipcl-serve`'s `tests/digest_golden.rs`), so existing cache keys and
+//! on-disk caches stay valid.
+//!
 //! The digest is **renaming- and reordering-invariant** (pinned by
 //! proptests in `tests/digest.rs`) and sensitive to every semantic
 //! mutation the workspace's bug-injection matrix produces. It is *not* a
@@ -157,8 +166,17 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn combine(tag: u64, parts: &[u64]) -> u64 {
-    let mut acc = mix(tag ^ 0x1bc1_5eed_0f0f_a7a7);
+/// Salt of every mixing chain.
+const COMBINE_SALT: u64 = 0x1bc1_5eed_0f0f_a7a7;
+
+/// The first accumulator of a mixing chain under `tag`; [`fold`] mixes the
+/// parts in one by one. A kind's seed is mixed once and then reused by
+/// every node of that kind in every round.
+fn chain_seed(tag: &str) -> u64 {
+    mix(hash_str(tag) ^ COMBINE_SALT)
+}
+
+fn fold(mut acc: u64, parts: &[u64]) -> u64 {
     for &part in parts {
         acc = mix(acc ^ part);
     }
@@ -173,69 +191,137 @@ fn hash_str(s: &str) -> u64 {
     acc
 }
 
-/// The cone of influence of `roots`: every signal reachable through gate
-/// inputs *and* register next-state edges. Sequential behaviour flows
-/// through registers, so the cone must cross them.
-fn cone_of(netlist: &Netlist, roots: &[SignalId]) -> BTreeSet<SignalId> {
-    let mut cone = BTreeSet::new();
-    let mut stack: Vec<SignalId> = roots.to_vec();
-    while let Some(signal) = stack.pop() {
-        if !cone.insert(signal) {
-            continue;
-        }
-        match &netlist.signal(signal).kind {
-            SignalKind::Input => {}
-            SignalKind::Wire(gate) => stack.extend(gate.inputs()),
-            SignalKind::Register { next, .. } => {
-                if let Some(next) = next {
-                    stack.push(*next);
-                }
-            }
-        }
-    }
-    cone
+/// How one cone node recomputes its colour from the previous round's
+/// colours. Children are cone-local indices.
+enum Refine {
+    /// Inputs keep their colour: they have no structure to refine.
+    Keep,
+    /// A colour that no child moves (constants, registers with no
+    /// next-state input).
+    Fixed(u64),
+    /// A buffer is the identity: fully transparent, so inserting or
+    /// removing buffers cannot change the digest.
+    Copy(u32),
+    /// Fold the children's colours onto `seed`, sorted first for the
+    /// commutative gates so operand order cannot leak into the digest.
+    Chain {
+        seed: u64,
+        children: (u32, u32),
+        sorted: bool,
+    },
 }
 
-/// One refinement round: recompute every cone signal's colour from its
-/// kind tag and its children's previous colours.
-fn refine(netlist: &Netlist, cone: &BTreeSet<SignalId>, colors: &mut [u64]) {
-    let previous = colors.to_owned();
-    let of = |id: SignalId| previous[id.index()];
-    for &signal in cone {
-        let color = match &netlist.signal(signal).kind {
-            // Inputs keep their seed: they have no structure to refine.
-            SignalKind::Input => previous[signal.index()],
-            SignalKind::Register { init, next } => {
-                let next_color = next.map(of).unwrap_or(0);
-                combine(hash_str("register"), &[*init as u64, next_color])
+/// The cone of influence of a set of roots, flattened once: every signal
+/// reachable through gate inputs *and* register next-state edges (sequential
+/// behaviour flows through registers, so the cone must cross them), as a
+/// dense array indexed by cone-local position.
+struct Cone {
+    nodes: Vec<Refine>,
+    /// Initial colour of each node.
+    seeds: Vec<u64>,
+    /// Child lists of `Chain` nodes, back to back.
+    children: Vec<u32>,
+}
+
+impl Cone {
+    /// Flattens the cone of `roots`; `local[signal]` receives each cone
+    /// signal's position (`u32::MAX` outside the cone).
+    fn flatten(netlist: &Netlist, roots: &[SignalId], local: &mut [u32]) -> Cone {
+        let mut order: Vec<SignalId> = Vec::new();
+        let mut stack: Vec<SignalId> = roots.to_vec();
+        while let Some(signal) = stack.pop() {
+            if local[signal.index()] != u32::MAX {
+                continue;
             }
-            SignalKind::Wire(gate) => match gate {
-                Gate::Const(value) => combine(hash_str("const"), &[*value as u64]),
-                // A buffer is the identity: fully transparent, so inserting
-                // or removing buffers cannot change the digest.
-                Gate::Buf(a) => of(*a),
-                Gate::Not(a) => combine(hash_str("not"), &[of(*a)]),
-                Gate::And(ops) => {
-                    let mut child: Vec<u64> = ops.iter().map(|&op| of(op)).collect();
-                    child.sort_unstable();
-                    combine(hash_str("and"), &child)
-                }
-                Gate::Or(ops) => {
-                    let mut child: Vec<u64> = ops.iter().map(|&op| of(op)).collect();
-                    child.sort_unstable();
-                    combine(hash_str("or"), &child)
-                }
-                Gate::Xor(a, b) => {
-                    let mut child = [of(*a), of(*b)];
-                    child.sort_unstable();
-                    combine(hash_str("xor"), &child)
-                }
-                Gate::Mux { sel, high, low } => {
-                    combine(hash_str("mux"), &[of(*sel), of(*high), of(*low)])
-                }
-            },
+            local[signal.index()] = order.len() as u32;
+            order.push(signal);
+            match &netlist.signal(signal).kind {
+                SignalKind::Input => {}
+                SignalKind::Wire(gate) => stack.extend(gate.inputs()),
+                SignalKind::Register { next, .. } => stack.extend(*next),
+            }
+        }
+
+        let [register, constant, not, and, or, xor, mux] =
+            ["register", "const", "not", "and", "or", "xor", "mux"].map(chain_seed);
+        let (input_seed, wire_seed) = (hash_str("input"), hash_str("wire"));
+        let mut cone = Cone {
+            nodes: Vec::with_capacity(order.len()),
+            seeds: Vec::with_capacity(order.len()),
+            children: Vec::new(),
         };
-        colors[signal.index()] = color;
+        for &signal in &order {
+            let of = |id: SignalId| local[id.index()];
+            let (seed, node) = match &netlist.signal(signal).kind {
+                SignalKind::Input => (input_seed, Refine::Keep),
+                SignalKind::Register { init, next } => {
+                    let with_init = fold(register, &[*init as u64]);
+                    let node = match next {
+                        Some(next) => cone.chain(with_init, false, [of(*next)]),
+                        None => Refine::Fixed(fold(with_init, &[0])),
+                    };
+                    (with_init, node)
+                }
+                SignalKind::Wire(gate) => {
+                    let node = match gate {
+                        Gate::Const(value) => Refine::Fixed(fold(constant, &[*value as u64])),
+                        Gate::Buf(a) => Refine::Copy(of(*a)),
+                        Gate::Not(a) => cone.chain(not, false, [of(*a)]),
+                        Gate::And(ops) => cone.chain(and, true, ops.iter().map(|&op| of(op))),
+                        Gate::Or(ops) => cone.chain(or, true, ops.iter().map(|&op| of(op))),
+                        Gate::Xor(a, b) => cone.chain(xor, true, [of(*a), of(*b)]),
+                        Gate::Mux { sel, high, low } => {
+                            cone.chain(mux, false, [of(*sel), of(*high), of(*low)])
+                        }
+                    };
+                    (wire_seed, node)
+                }
+            };
+            cone.seeds.push(seed);
+            cone.nodes.push(node);
+        }
+        cone
+    }
+
+    fn chain(
+        &mut self,
+        seed: u64,
+        sorted: bool,
+        children: impl IntoIterator<Item = u32>,
+    ) -> Refine {
+        let start = self.children.len() as u32;
+        self.children.extend(children);
+        let children = (start, self.children.len() as u32);
+        Refine::Chain {
+            seed,
+            children,
+            sorted,
+        }
+    }
+
+    /// One refinement round: every node's colour in `next`, computed from
+    /// its kind and its children's colours in `previous`.
+    fn refine(&self, previous: &[u64], next: &mut [u64], scratch: &mut Vec<u64>) {
+        let span = |(start, end): (u32, u32)| &self.children[start as usize..end as usize];
+        for (slot, node) in self.nodes.iter().enumerate() {
+            next[slot] = match *node {
+                Refine::Keep => previous[slot],
+                Refine::Fixed(color) => color,
+                Refine::Copy(child) => previous[child as usize],
+                Refine::Chain {
+                    seed,
+                    children,
+                    sorted,
+                } => {
+                    scratch.clear();
+                    scratch.extend(span(children).iter().map(|&c| previous[c as usize]));
+                    if sorted {
+                        scratch.sort_unstable();
+                    }
+                    fold(seed, scratch)
+                }
+            };
+        }
     }
 }
 
@@ -269,37 +355,43 @@ pub fn structural_digest(netlist: &Netlist, interface: &[String]) -> String {
     }
 
     let roots: Vec<SignalId> = bound.iter().map(|&(_, signal)| signal).collect();
-    let cone = cone_of(netlist, &roots);
+    let mut local = vec![u32::MAX; netlist.len()];
+    let cone = Cone::flatten(netlist, &roots, &mut local);
 
-    // Seed colours: interface signals start from their (external) name so
-    // that swapping two symmetric interface nets changes the digest;
-    // everything else starts from a kind tag only.
-    let mut colors = vec![0u64; netlist.len()];
-    for &signal in &cone {
-        colors[signal.index()] = match &netlist.signal(signal).kind {
-            SignalKind::Input => hash_str("input"),
-            SignalKind::Register { init, .. } => combine(hash_str("register"), &[*init as u64]),
-            SignalKind::Wire(_) => hash_str("wire"),
-        };
-    }
-    for &(name, signal) in &bound {
-        colors[signal.index()] =
-            combine(hash_str("iface"), &[hash_str(name), colors[signal.index()]]);
-    }
+    // Interface signals are pinned to their (external) name so that
+    // swapping two symmetric interface nets changes the digest; every
+    // other node starts from its kind tag only.
+    let iface = chain_seed("iface");
+    let pins: Vec<(usize, u64)> = bound
+        .iter()
+        .map(|&(name, signal)| {
+            (
+                local[signal.index()] as usize,
+                fold(iface, &[hash_str(name)]),
+            )
+        })
+        .collect();
+    let mut colors = cone.seeds.clone();
+    let pin = |colors: &mut [u64]| {
+        for &(slot, pinned) in &pins {
+            colors[slot] = mix(pinned ^ colors[slot]);
+        }
+    };
+    pin(&mut colors);
 
     // Enough rounds for a colour to traverse the longest simple path in the
     // cone — registers included, since behaviour crosses them: the cone
     // size bounds that path, and two extra rounds separate near-fixpoints.
-    let rounds = cone.len() + 2;
+    let rounds = cone.nodes.len() + 2;
+    let mut next = vec![0u64; colors.len()];
+    let mut scratch = Vec::new();
     for _ in 0..rounds {
-        refine(netlist, &cone, &mut colors);
+        cone.refine(&colors, &mut next, &mut scratch);
+        std::mem::swap(&mut colors, &mut next);
         // Re-pin the interface names after each round: refinement rebuilds
         // a bound signal's colour from pure structure, and the binding is
         // part of what the digest must witness.
-        for &(name, signal) in &bound {
-            colors[signal.index()] =
-                combine(hash_str("iface"), &[hash_str(name), colors[signal.index()]]);
-        }
+        pin(&mut colors);
     }
 
     let mut sha = Sha256::new();
@@ -307,7 +399,7 @@ pub fn structural_digest(netlist: &Netlist, interface: &[String]) -> String {
     for (name, signal) in &bound {
         sha.update(name.as_bytes());
         sha.update(b"=");
-        sha.update(&colors[signal.index()].to_be_bytes());
+        sha.update(&colors[local[signal.index()] as usize].to_be_bytes());
         sha.update(b"\n");
     }
     for name in &absent {

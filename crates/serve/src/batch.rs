@@ -29,6 +29,12 @@
 //! The sweep runs on the submitting connection's thread, bounded by the
 //! server's `batch_depth`, so a batch of mostly-buggy or mostly-cached
 //! properties answers without ever occupying a worker.
+//!
+//! Grouping costs one digest per *design*, not per job: the jobs of a
+//! batch are compared by value, the union interface is derived once per
+//! distinct spec and [`structural_digest`] runs once per distinct
+//! (netlist, interface) payload. A whole-design batch of N properties
+//! therefore pays for one cone refinement, not N.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::AtomicBool;
@@ -36,6 +42,7 @@ use std::sync::Arc;
 
 use ipcl_bitsim::{eval_expr_word, BitSimulator, LANES};
 use ipcl_bmc::{Counterexample, FrameEncoder, SequentialProperty, SolverSync};
+use ipcl_core::FunctionalSpec;
 use ipcl_expr::VarId;
 use ipcl_rtl::{structural_digest, InitialState, SignalId, SignalKind};
 use ipcl_sat::{SatResult, Solver, SolverConfig};
@@ -74,27 +81,43 @@ pub fn presolve_batch(
     // union-interface digest. Properties of one group can share an
     // unrolling; the group representative's spec provides the encoding
     // vocabulary (identical digests from differently-built payloads are
-    // caught by the per-job property resolution below).
+    // caught by the per-job property resolution below). The jobs of one
+    // design usually carry equal copies of its spec and netlist, so the
+    // union interface is derived once per distinct spec and the digest
+    // once per distinct (netlist, interface) payload.
+    let mut interfaces: Vec<(usize, Vec<String>)> = Vec::new();
+    let mut payloads: Vec<(usize, usize, String)> = Vec::new();
     let mut groups: Vec<(String, Vec<usize>)> = Vec::new();
     for (index, job) in jobs.iter().enumerate() {
-        let interface: Vec<String> = {
-            let pool = job.spec.pool();
-            let mut vars = BTreeSet::new();
-            for stage in job.spec.stages() {
-                vars.insert(stage.moe);
-                for rule in &stage.rules {
-                    rule.condition.collect_vars(&mut vars);
-                }
+        let spec_slot = match interfaces
+            .iter()
+            .position(|(at, _)| jobs[*at].spec == job.spec)
+        {
+            Some(slot) => slot,
+            None => {
+                interfaces.push((index, spec_interface(&job.spec)));
+                interfaces.len() - 1
             }
-            vars.into_iter().map(|v| pool.name_or_fallback(v)).collect()
         };
-        let digest = structural_digest(&job.netlist, &interface);
+        let interface = &interfaces[spec_slot].1;
+        let known = payloads.iter().find(|(slot, at, _)| {
+            interfaces[*slot].1 == *interface && jobs[*at].netlist == job.netlist
+        });
+        let digest = match known {
+            Some((_, _, digest)) => digest.clone(),
+            None => {
+                let digest = structural_digest(&job.netlist, interface);
+                payloads.push((spec_slot, index, digest.clone()));
+                digest
+            }
+        };
         match groups.iter_mut().find(|(key, _)| *key == digest) {
             Some((_, members)) => members.push(index),
             None => groups.push((digest, vec![index])),
         }
     }
 
+    let (designs, group_count) = (payloads.len(), groups.len());
     for (_, members) in groups {
         presolve_group(
             jobs,
@@ -110,6 +133,8 @@ pub fn presolve_batch(
         "serve.batch_presolved",
         &[
             ("jobs", Value::U64(jobs.len() as u64)),
+            ("designs", Value::U64(designs as u64)),
+            ("groups", Value::U64(group_count as u64)),
             ("resolved", Value::U64(resolved.len() as u64)),
         ],
     );
@@ -119,6 +144,21 @@ pub fn presolve_batch(
         resolved,
         unresolved,
     }
+}
+
+/// The names a batch groups by: every `moe` flag of `spec` and every
+/// variable its stall rules read — the union of its properties' interfaces.
+fn spec_interface(spec: &FunctionalSpec) -> Vec<String> {
+    let mut vars = BTreeSet::new();
+    for stage in spec.stages() {
+        vars.insert(stage.moe);
+        for rule in &stage.rules {
+            rule.condition.collect_vars(&mut vars);
+        }
+    }
+    vars.into_iter()
+        .map(|v| spec.pool().name_or_fallback(v))
+        .collect()
 }
 
 fn presolve_group(

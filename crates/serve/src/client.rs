@@ -10,7 +10,7 @@ use std::net::TcpStream;
 
 use ipcl_tracetool::json::Json;
 
-use crate::protocol::{JobOutcome, JobRequest};
+use crate::protocol::{write_batch_json, JobOutcome, JobRequest};
 
 /// A connected client.
 pub struct Client {
@@ -76,13 +76,11 @@ impl Client {
             .ok_or_else(|| "submit response misses 'id'".to_owned())
     }
 
-    /// Submits a batch; returns `(ids, presolved count)`.
+    /// Submits a batch; returns `(ids, presolved count)`. Jobs with equal
+    /// specs and netlists travel as one shared design
+    /// ([`write_batch_json`]).
     pub fn submit_batch(&mut self, jobs: &[JobRequest]) -> Result<(Vec<u64>, u64), String> {
-        let rendered: Vec<String> = jobs.iter().map(JobRequest::to_json_string).collect();
-        let line = format!(
-            "{{\"cmd\": \"submit_batch\", \"jobs\": [{}]}}",
-            rendered.join(", ")
-        );
+        let line = format!("{{\"cmd\": \"submit_batch\", {}}}", write_batch_json(jobs));
         let response = self.request(&line)?;
         let ids = response
             .get("ids")

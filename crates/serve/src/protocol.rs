@@ -16,6 +16,18 @@
 //!    "strategy": "portfolio", "threads": 1}}
 //! ```
 //!
+//! A `submit_batch` request sends each distinct design once and lets its
+//! jobs name it by index, so a whole-design batch carries (and the server
+//! parses) one copy of the spec and netlist instead of one per property:
+//!
+//! ```json
+//! {"cmd": "submit_batch",
+//!  "designs": [{"spec": {...}, "netlist": {...}}],
+//!  "jobs": [{"design": 0, "property": {"stage_index": 0, "kind": "functional",
+//!                                      "latency": "auto"},
+//!            "strategy": "pdr", "threads": 1}, ...]}
+//! ```
+//!
 //! Stall-rule conditions travel as text in the `ipcl-expr` surface syntax
 //! (the printed form round-trips through `parse_expr`); netlist signals
 //! travel in declaration order and reference each other by index, which the
@@ -106,12 +118,19 @@ impl JobRequest {
     /// Serialises the job as one JSON object (the `"job"` payload of a
     /// `submit` request).
     pub fn to_json_string(&self) -> String {
-        let mut out = String::from("{\"spec\": ");
-        write_spec_json(&mut out, &self.spec);
-        out.push_str(", \"netlist\": ");
-        write_netlist_json(&mut out, &self.netlist);
+        let mut out = String::from("{");
+        write_design_fields(&mut out, &self.spec, &self.netlist);
+        out.push_str(", ");
+        self.write_settings(&mut out);
+        out.push('}');
+        out
+    }
+
+    /// Appends the `"property"`, `"strategy"` and `"threads"` members: the
+    /// part of a job that is not its design.
+    fn write_settings(&self, out: &mut String) {
         out.push_str(&format!(
-            ", \"property\": {{\"stage_index\": {}, \"kind\": \"{}\", \"latency\": \"{}\"}}",
+            "\"property\": {{\"stage_index\": {}, \"kind\": \"{}\", \"latency\": \"{}\"}}",
             self.property.stage_index,
             self.property.kind.name(),
             match self.property.latency {
@@ -121,11 +140,10 @@ impl JobRequest {
             }
         ));
         out.push_str(&format!(
-            ", \"strategy\": \"{}\", \"threads\": {}}}",
+            ", \"strategy\": \"{}\", \"threads\": {}",
             strategy_name(self.strategy),
             self.threads
         ));
-        out
     }
 
     /// Parses the `"job"` payload of a `submit` request.
@@ -134,8 +152,17 @@ impl JobRequest {
     ///
     /// A human-readable message naming the offending field.
     pub fn from_json(json: &Json) -> Result<JobRequest, String> {
-        let spec = parse_spec(json.get("spec").ok_or("job misses 'spec'")?)?;
-        let netlist = parse_netlist(json.get("netlist").ok_or("job misses 'netlist'")?)?;
+        let (spec, netlist) = parse_design(json)?;
+        JobRequest::from_settings(json, spec, netlist)
+    }
+
+    /// Completes `spec` and `netlist` into a job with the property
+    /// selector and engine knobs of `json`.
+    fn from_settings(
+        json: &Json,
+        spec: FunctionalSpec,
+        netlist: Netlist,
+    ) -> Result<JobRequest, String> {
         let property = json.get("property").ok_or("job misses 'property'")?;
         let stage_index = property
             .get("stage_index")
@@ -172,6 +199,100 @@ impl JobRequest {
             threads,
         })
     }
+}
+
+/// Appends the `"spec"` and `"netlist"` members of a design.
+fn write_design_fields(out: &mut String, spec: &FunctionalSpec, netlist: &Netlist) {
+    out.push_str("\"spec\": ");
+    write_spec_json(out, spec);
+    out.push_str(", \"netlist\": ");
+    write_netlist_json(out, netlist);
+}
+
+/// Parses the `"spec"` and `"netlist"` members of a job or design object.
+fn parse_design(json: &Json) -> Result<(FunctionalSpec, Netlist), String> {
+    let spec = parse_spec(json.get("spec").ok_or("misses 'spec'")?)?;
+    let netlist = parse_netlist(json.get("netlist").ok_or("misses 'netlist'")?)?;
+    Ok((spec, netlist))
+}
+
+/// Serialises the members of a `submit_batch` request: each distinct
+/// (spec, netlist) pair once in `"designs"`, and every job in `"jobs"` as
+/// its property selector and engine knobs plus the index of its design.
+/// Jobs share a design when their specs and netlists are equal.
+pub fn write_batch_json(jobs: &[JobRequest]) -> String {
+    let mut designs: Vec<&JobRequest> = Vec::new();
+    let mut rendered_jobs = String::new();
+    for (i, job) in jobs.iter().enumerate() {
+        let design = match designs
+            .iter()
+            .position(|d| d.spec == job.spec && d.netlist == job.netlist)
+        {
+            Some(design) => design,
+            None => {
+                designs.push(job);
+                designs.len() - 1
+            }
+        };
+        if i > 0 {
+            rendered_jobs.push_str(", ");
+        }
+        rendered_jobs.push_str(&format!("{{\"design\": {design}, "));
+        job.write_settings(&mut rendered_jobs);
+        rendered_jobs.push('}');
+    }
+    let mut out = String::from("\"designs\": [");
+    for (i, design) in designs.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push('{');
+        write_design_fields(&mut out, &design.spec, &design.netlist);
+        out.push('}');
+    }
+    out.push_str("], \"jobs\": [");
+    out.push_str(&rendered_jobs);
+    out.push(']');
+    out
+}
+
+/// Parses the jobs of a `submit_batch` request written by
+/// [`write_batch_json`]: every design is parsed once and cloned into each
+/// job that names it.
+///
+/// # Errors
+///
+/// A message naming the offending design or job by index.
+pub fn parse_batch(request: &Json) -> Result<Vec<JobRequest>, String> {
+    let designs = request
+        .get("designs")
+        .and_then(Json::as_array)
+        .ok_or("submit_batch misses 'designs'")?
+        .iter()
+        .enumerate()
+        .map(|(i, design)| parse_design(design).map_err(|e| format!("design {i}: {e}")))
+        .collect::<Result<Vec<_>, String>>()?;
+    let jobs = request
+        .get("jobs")
+        .and_then(Json::as_array)
+        .ok_or("submit_batch misses 'jobs'")?;
+    jobs.iter()
+        .enumerate()
+        .map(|(i, job)| {
+            let index = job
+                .get("design")
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("job {i}: misses 'design'"))?;
+            let (spec, netlist) = designs.get(index as usize).ok_or_else(|| {
+                format!(
+                    "job {i}: design {index} out of range ({} designs)",
+                    designs.len()
+                )
+            })?;
+            JobRequest::from_settings(job, spec.clone(), netlist.clone())
+                .map_err(|e| format!("job {i}: {e}"))
+        })
+        .collect()
 }
 
 fn strategy_name(strategy: ProofStrategy) -> &'static str {
@@ -745,6 +866,38 @@ mod tests {
             original.ok.display(job.spec.pool()).to_string(),
             reparsed.ok.display(parsed.spec.pool()).to_string()
         );
+    }
+
+    #[test]
+    fn batch_sends_each_design_once_and_roundtrips() {
+        let job = roundtrip_job();
+        let mut other_stage = job.clone();
+        other_stage.property.stage_index = 0;
+        let mut other_design = job.clone();
+        other_design.netlist = ipcl_synth::synthesize_interlock(&job.spec)
+            .netlist()
+            .clone();
+        let jobs = [job, other_design, other_stage];
+        let text = format!("{{{}}}", write_batch_json(&jobs));
+        let json = Json::parse(&text).unwrap();
+        assert_eq!(
+            json.get("designs").and_then(Json::as_array).unwrap().len(),
+            2
+        );
+        let parsed = parse_batch(&json).unwrap();
+        assert_eq!(parsed.len(), jobs.len());
+        for (parsed, job) in parsed.iter().zip(&jobs) {
+            let spec_text = |spec: &FunctionalSpec| {
+                let mut out = String::new();
+                write_spec_json(&mut out, spec);
+                out
+            };
+            assert_eq!(spec_text(&parsed.spec), spec_text(&job.spec));
+            assert_eq!(parsed.netlist, job.netlist);
+            assert_eq!(parsed.property, job.property);
+            assert_eq!(parsed.strategy, job.strategy);
+            assert_eq!(parsed.threads, job.threads);
+        }
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! Request vocabulary (`{"cmd": ...}`):
 //!
 //! * `submit` — enqueue one job, answer `{"ok": true, "id": N}`;
-//! * `submit_batch` — pre-solve shared-cone jobs on this connection
-//!   ([`crate::batch`]), enqueue the rest, answer ids plus the pre-solved
-//!   count;
+//! * `submit_batch` — parse each shared design once
+//!   ([`crate::protocol::parse_batch`]), pre-solve shared-cone jobs on this
+//!   connection ([`crate::batch`]), enqueue the rest, answer ids plus the
+//!   pre-solved count;
 //! * `status` — job state and, when done, the result;
 //! * `wait` — block until the job finishes, answer the result;
 //! * `cancel` — flag a job's cancellation token;
@@ -35,7 +36,7 @@ use ipcl_tracetool::json::{write_json_string, Json};
 use crate::batch::presolve_batch;
 use crate::cache::{CacheLimits, ProofCache};
 use crate::pool::WorkerPool;
-use crate::protocol::JobRequest;
+use crate::protocol::{parse_batch, JobRequest};
 use crate::queue::{JobQueue, JobState};
 
 /// Server knobs.
@@ -281,16 +282,10 @@ fn respond(
             }
         }
         Some("submit_batch") => {
-            let Some(jobs) = request.get("jobs").and_then(Json::as_array) else {
-                return error_response("submit_batch misses 'jobs'");
+            let parsed: Vec<Arc<JobRequest>> = match parse_batch(&request) {
+                Ok(jobs) => jobs.into_iter().map(Arc::new).collect(),
+                Err(message) => return error_response(&message),
             };
-            let mut parsed = Vec::with_capacity(jobs.len());
-            for (i, job) in jobs.iter().enumerate() {
-                match JobRequest::from_json(job) {
-                    Ok(job) => parsed.push(Arc::new(job)),
-                    Err(message) => return error_response(&format!("job {i}: {message}")),
-                }
-            }
             let resolution = presolve_batch(&parsed, batch_depth, cache, tracer);
             let presolved = resolution.resolved.len();
             let mut ids = vec![0u64; parsed.len()];

@@ -199,3 +199,18 @@ fn malformed_requests_get_json_errors_not_disconnects() {
     assert!(stats.get("done").is_some());
     server.shutdown();
 }
+
+#[test]
+fn deeply_nested_request_lines_get_an_error_not_a_crash() {
+    let server = Server::start(ServerConfig::default(), Tracer::disabled()).expect("bind");
+    let mut client = Client::connect(&server.local_addr().to_string()).expect("connect");
+    let error = client
+        .request(&"[".repeat(200_000))
+        .expect_err("200,000 open brackets are not a request");
+    assert!(error.contains("nesting"), "{error}");
+    let stats = client
+        .stats()
+        .expect("the server survives a deeply nested line");
+    assert!(stats.get("done").is_some());
+    server.shutdown();
+}

@@ -9,8 +9,16 @@
 //! bench documents need. Numbers are held as `f64`: every metric in the
 //! artifacts is a count or a duration well inside the 2^53 exact-integer
 //! range.
+//!
+//! Nesting is bounded by [`MAX_DEPTH`]: a deeper document is an `Err`, not
+//! a stack overflow, so a hostile request line cannot abort a process that
+//! parses untrusted input (the `ipcl-serve` wire protocol).
 
 use std::fmt::Write as _;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// documents of this workspace nest fewer than ten levels deep.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Clone, PartialEq, Debug)]
@@ -35,6 +43,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let value = p.value()?;
         p.skip_ws();
@@ -125,6 +134,8 @@ pub fn write_json_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -161,8 +172,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.literal("false").map(|()| Json::Bool(false)),
@@ -170,6 +181,21 @@ impl<'a> Parser<'a> {
             Some(_) => self.number(),
             None => Err("unexpected end of input".to_owned()),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -329,6 +355,17 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{}extra").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_without_overflowing_the_stack() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&over).unwrap_err().contains("nesting"));
+        let objects = "{\"a\": ".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).unwrap_err().contains("nesting"));
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

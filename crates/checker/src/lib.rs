@@ -14,10 +14,11 @@
 //!   counterexample assignments (unnecessary-stall or missed-stall
 //!   witnesses);
 //! * [`sequential`] checks reset behaviour of registered implementations and
-//!   runs bounded random falsification over input sequences;
-//! * [`prepass`] accelerates that falsification 64× with the compiled
-//!   bit-parallel simulator (`ipcl-bitsim`), replaying every lane verdict
-//!   through the interpreted simulator before reporting it.
+//!   proves or falsifies the sequential property portfolio;
+//! * [`prepass`] is the one bounded random falsifier over input sequences:
+//!   64 scenarios per cycle on the compiled bit-parallel simulator
+//!   (`ipcl-bitsim`), every lane verdict replayed through the interpreted
+//!   simulator before it is reported.
 //!
 //! # Example
 //!
@@ -42,11 +43,11 @@ pub use implementation::{
     check_derived_implementation, check_moe_expressions, check_netlist, ImplementationReport,
     SpecDirection, StageVerdict,
 };
-pub use prepass::{random_falsification_bitsim, BitSweep, LaneViolation};
+pub use prepass::{random_falsification_bitsim, sweep, BitSweep, LaneViolation};
 pub use sequential::{
     check_netlist_sequential, check_netlist_sequential_with, check_property_job,
-    check_reset_values, random_falsification, DynamicViolation, ProofStrategy, ResetReport,
-    SequentialOptions, SequentialReport, DEFAULT_PREPASS_SEED,
+    check_reset_values, ProofStrategy, ResetReport, SequentialOptions, SequentialReport,
+    DEFAULT_PREPASS_SEED,
 };
 // The BMC/PDR vocabulary types, so callers of the sequential checker need
 // not depend on `ipcl-bmc` / `ipcl-pdr` directly.

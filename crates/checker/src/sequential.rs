@@ -19,16 +19,16 @@
 //! reported. Properties are checked in parallel, one OS thread per property
 //! (a portfolio race uses two).
 //!
-//! [`random_falsification`] remains as a cheap dynamic pre-pass: it drives
-//! the implementation with random environment vectors and evaluates the
-//! assertions on every cycle. `check_netlist_sequential` runs it first and
-//! uses its (unsound but fast) verdicts to prioritise which properties to
-//! attack; its violations are reported alongside the exhaustive results.
+//! A cheap dynamic pre-pass runs first: the compiled 64-lane sweep
+//! ([`crate::prepass::random_falsification_bitsim`], the workspace's one
+//! random-simulation falsifier) drives the implementation with random
+//! environment vectors and evaluates the assertions on every cycle.
+//! `check_netlist_sequential` uses its (unsound but fast) verdicts to
+//! prioritise which properties to attack; its violations are reported
+//! alongside the exhaustive results. The interpreted simulator serves only
+//! as the oracle that replays every trace.
 
 use std::collections::BTreeMap;
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use ipcl_bmc::{
     check_property_traced, check_stall_escape, BmcError, BmcOptions, BmcOutcome, BmcResult,
@@ -42,10 +42,11 @@ use ipcl_pdr::{
     check_property_portfolio_parallel_with_cancel, check_property_portfolio_with_cancel,
     Certificate, ParallelPdrOptions, PdrOptions, PdrOutcome, PdrResult, PortfolioWinner,
 };
-use ipcl_rtl::{Netlist, RtlError, SignalKind, Simulator};
+use ipcl_rtl::{Netlist, SignalKind};
 use ipcl_trace::{TraceConfig, TraceSnapshot, Tracer, Value};
 
 use crate::engine::Engine;
+use crate::prepass::{random_falsification_bitsim, LaneViolation};
 
 /// Deterministic default seed of the random-simulation pre-pass
 /// ([`SequentialOptions::prepass_seed`]).
@@ -94,85 +95,6 @@ pub fn check_reset_values(spec: &FunctionalSpec, netlist: &Netlist) -> ResetRepo
         mismatches,
         examined,
     }
-}
-
-/// One violation found by [`random_falsification`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DynamicViolation {
-    /// Cycle at which the assertion fired.
-    pub cycle: u64,
-    /// Offending stage prefix.
-    pub stage: String,
-    /// `true` for a missed stall (functional), `false` for an unnecessary
-    /// stall (performance).
-    pub functional: bool,
-}
-
-/// Drives `netlist` with `cycles` random environment vectors and evaluates
-/// the functional and performance assertions on its `moe` outputs each cycle.
-///
-/// Returns the violations found (possibly empty).
-///
-/// # Errors
-///
-/// Propagates [`RtlError`]s from netlist elaboration.
-pub fn random_falsification(
-    spec: &FunctionalSpec,
-    netlist: &Netlist,
-    cycles: u64,
-    seed: u64,
-) -> Result<Vec<DynamicViolation>, RtlError> {
-    let mut simulator = Simulator::new(netlist)?;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let env_vars: Vec<_> = spec.env_vars().into_iter().collect();
-    let pool = spec.pool();
-    let mut violations = Vec::new();
-
-    for cycle in 0..cycles {
-        // Random environment, driven into the matching netlist inputs in
-        // one batch (one settle per cycle, not one per input).
-        let mut env = Assignment::new();
-        let mut driven = Vec::with_capacity(env_vars.len());
-        for &var in &env_vars {
-            let value = rng.random_bool(0.5);
-            env.set(var, value);
-            if let Some(signal) = netlist.find(&pool.name_or_fallback(var)) {
-                if matches!(netlist.signal(signal).kind, SignalKind::Input) {
-                    driven.push((signal, value));
-                }
-            }
-        }
-        simulator.set_inputs(driven);
-        // Read the implementation's moe outputs.
-        let mut moe = Assignment::new();
-        for stage in spec.stages() {
-            if let Some(signal) = netlist.find(&pool.name_or_fallback(stage.moe)) {
-                moe.set(stage.moe, simulator.value(signal));
-            }
-        }
-        // Evaluate both assertion directions.
-        let lookup = |v| moe.get(v).or(env.get(v)).unwrap_or(false);
-        for stage in spec.stages() {
-            let moving = moe.get(stage.moe).unwrap_or(true);
-            let condition = stage.condition().eval_with(lookup);
-            if condition && moving {
-                violations.push(DynamicViolation {
-                    cycle,
-                    stage: stage.stage.prefix(),
-                    functional: true,
-                });
-            }
-            if !moving && !condition {
-                violations.push(DynamicViolation {
-                    cycle,
-                    stage: stage.stage.prefix(),
-                    functional: false,
-                });
-            }
-        }
-        simulator.step();
-    }
-    Ok(violations)
 }
 
 /// Which proof engine decides each property of the sequential portfolio.
@@ -238,14 +160,6 @@ pub struct SequentialOptions {
     /// ([`DEFAULT_PREPASS_SEED`]) is fixed so CI runs are reproducible;
     /// vary it explicitly to diversify the sweep.
     pub prepass_seed: u64,
-    /// Run the pre-pass on the compiled bit-parallel simulator
-    /// ([`crate::prepass::random_falsification_bitsim`]): 64 independent
-    /// random input sequences per pass instead of one, for roughly the same
-    /// cost. Every violating lane is extracted into a counterexample and
-    /// replayed through the interpreted simulator before its verdict is
-    /// used. `true` by default; disable to fall back to the interpreted
-    /// [`random_falsification`] sweep.
-    pub bitsim: bool,
     /// Check every property on its own OS thread.
     pub parallel: bool,
     /// Run the per-stage stall-escape (deadlock/livelock) proof.
@@ -268,7 +182,6 @@ impl Default for SequentialOptions {
             latency: None,
             prepass_cycles: 200,
             prepass_seed: DEFAULT_PREPASS_SEED,
-            bitsim: true,
             parallel: true,
             deadlock: true,
             escape_cycles: 2,
@@ -317,7 +230,7 @@ pub struct SequentialReport {
     /// Per-stage stall-escape proofs (empty when disabled).
     pub stall_escape: Vec<StallEscapeReport>,
     /// Violations found by the random pre-pass (unsound, informational).
-    pub prepass_violations: Vec<DynamicViolation>,
+    pub prepass_violations: Vec<LaneViolation>,
     /// The frozen observability snapshot — profile tree, unified metrics
     /// and the structured event log — when [`SequentialOptions::trace`] was
     /// enabled; `None` otherwise. Render it with `ipcl_trace::report`.
@@ -389,42 +302,34 @@ pub fn check_netlist_sequential_with(
 
     // Cheap dynamic pre-pass: unsound, but when it finds a violation the
     // corresponding property is almost certainly falsifiable — check those
-    // first so (in sequential mode) counterexamples surface early. The
-    // random sweep evaluates assertions combinationally (moe and env in the
-    // same cycle), so at registered latency its verdicts would be
-    // systematically wrong (every correct registered implementation "fails"
-    // by one cycle of lag) — skip it there.
+    // first so (in sequential mode) counterexamples surface early. It sweeps
+    // the combinational portfolio, so registered-latency netlists skip it.
+    // 64 scenarios per cycle, every lane verdict interpreter-replayed
+    // before use.
     let prepass_violations = if options.prepass_cycles > 0 && latency == Latency::Combinational {
-        if options.bitsim {
-            // Compiled 64-lane sweep: 64× the scenario coverage per cycle,
-            // every lane verdict interpreter-replayed before use.
-            let _span = tracer.span("checker.bitsim_prepass");
-            let sweep = crate::prepass::random_falsification_bitsim(
-                spec,
-                netlist,
-                options.prepass_cycles,
-                options.prepass_seed,
-            )
-            .map_err(BmcError::Rtl)?;
-            if tracer.is_enabled() {
-                tracer.event(
-                    "bitsim_prepass",
-                    &[
-                        ("cycles", Value::from(options.prepass_cycles)),
-                        ("scenarios", Value::from(sweep.scenarios)),
-                        ("violations", Value::from(sweep.violations.len() as u64)),
-                        (
-                            "counterexamples",
-                            Value::from(sweep.counterexamples.len() as u64),
-                        ),
-                    ],
-                );
-            }
-            sweep.dynamic_violations()
-        } else {
-            random_falsification(spec, netlist, options.prepass_cycles, options.prepass_seed)
-                .map_err(BmcError::Rtl)?
+        let _span = tracer.span("checker.bitsim_prepass");
+        let sweep = random_falsification_bitsim(
+            spec,
+            netlist,
+            options.prepass_cycles,
+            options.prepass_seed,
+        )
+        .map_err(BmcError::Rtl)?;
+        if tracer.is_enabled() {
+            tracer.event(
+                "bitsim_prepass",
+                &[
+                    ("cycles", Value::from(options.prepass_cycles)),
+                    ("scenarios", Value::from(sweep.scenarios)),
+                    ("violations", Value::from(sweep.violations.len() as u64)),
+                    (
+                        "counterexamples",
+                        Value::from(sweep.counterexamples.len() as u64),
+                    ),
+                ],
+            );
         }
+        sweep.violations
     } else {
         Vec::new()
     };
@@ -742,14 +647,6 @@ mod tests {
     }
 
     #[test]
-    fn random_falsification_is_clean_for_combinational_synthesis() {
-        let spec = ExampleArch::new().functional_spec();
-        let synthesized = synthesize_interlock(&spec);
-        let violations = random_falsification(&spec, synthesized.netlist(), 300, 0xF00D).unwrap();
-        assert!(violations.is_empty(), "{violations:?}");
-    }
-
-    #[test]
     fn random_falsification_catches_wrong_reset_value_at_cycle_zero() {
         let spec = ExampleArch::new().functional_spec();
         let synthesized = synthesize_interlock_with(
@@ -760,10 +657,13 @@ mod tests {
                 ..Default::default()
             },
         );
-        let violations = random_falsification(&spec, synthesized.netlist(), 50, 0xF00D).unwrap();
+        let sweep = random_falsification_bitsim(&spec, synthesized.netlist(), 50, 0xF00D).unwrap();
         // At cycle 0 every stage is stalled although (for most random
         // environments) no stall condition holds: performance violations.
-        assert!(violations.iter().any(|v| v.cycle == 0 && !v.functional));
+        assert!(sweep
+            .violations
+            .iter()
+            .any(|v| v.cycle == 0 && !v.functional));
     }
 
     #[test]
@@ -914,10 +814,13 @@ mod tests {
         // seed is honoured (both sweeps are clean on a correct netlist, so
         // equality of violation lists is the observable).
         let a =
-            random_falsification(&spec, synthesized.netlist(), 100, DEFAULT_PREPASS_SEED).unwrap();
+            random_falsification_bitsim(&spec, synthesized.netlist(), 100, DEFAULT_PREPASS_SEED)
+                .unwrap();
         let b =
-            random_falsification(&spec, synthesized.netlist(), 100, DEFAULT_PREPASS_SEED).unwrap();
-        assert_eq!(a, b);
+            random_falsification_bitsim(&spec, synthesized.netlist(), 100, DEFAULT_PREPASS_SEED)
+                .unwrap();
+        assert_eq!(a.violations, b.violations);
+        assert_eq!(a.counterexamples, b.counterexamples);
     }
 
     #[test]
@@ -944,7 +847,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let violations = random_falsification(&spec, synthesized.netlist(), 400, 0xBEEF).unwrap();
-        assert!(!violations.is_empty());
+        let sweep = random_falsification_bitsim(&spec, synthesized.netlist(), 400, 0xBEEF).unwrap();
+        assert!(!sweep.clean());
     }
 }

@@ -9,15 +9,13 @@
 //! the larger experiments ([`ArchSpec::firepath_like`]) and the paper's
 //! example ([`ArchSpec::paper_example`]) are provided as presets.
 
-use serde::{Deserialize, Serialize};
-
 use ipcl_expr::Expr;
 
 use crate::model::{SignalNames, StageRef};
 use crate::spec::{FunctionalSpec, FunctionalSpecBuilder, SpecError};
 
 /// Description of one pipe.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PipeSpec {
     /// Pipe name (used as the signal-name prefix).
     pub name: String,
@@ -51,7 +49,7 @@ impl PipeSpec {
 
 /// Description of a completion bus: the pipes that arbitrate for it, in
 /// priority order (highest first).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompletionBusSpec {
     /// Bus name (signal-name prefix of `regaddr`, etc.).
     pub name: String,
@@ -60,7 +58,7 @@ pub struct CompletionBusSpec {
 }
 
 /// A complete interlocked-pipeline architecture description.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ArchSpec {
     /// Architecture name.
     pub name: String,
@@ -354,20 +352,6 @@ mod tests {
             names,
             vec!["long.4", "long.3", "long.2", "long.1", "short.2", "short.1"]
         );
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let arch = ArchSpec::firepath_like();
-        let json = serde_json_like(&arch);
-        assert!(json.contains("firepath-like"));
-    }
-
-    /// Minimal smoke test that the serde derives are usable (the workspace
-    /// does not depend on serde_json, so render via the Debug of the
-    /// serializable value instead).
-    fn serde_json_like(arch: &ArchSpec) -> String {
-        format!("{arch:?}")
     }
 
     #[test]

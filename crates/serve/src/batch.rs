@@ -14,12 +14,12 @@
 //! * **cache hits** are served exactly as on the single-job path
 //!   (revalidated, never trusted);
 //! * **shallowly falsifiable properties** are caught even before the
-//!   solver: a compiled 64-lane fuzz sweep (`ipcl-bitsim`) drives 64
-//!   random scenarios per step through the shared netlist and evaluates
-//!   every surviving property word-wide — each violating lane is extracted
-//!   into a trace and replayed against *its own job's* netlist before
-//!   being served, so the fuzz stage can save SAT queries but never
-//!   corrupt a verdict;
+//!   solver: the checker's 64-lane sweep ([`ipcl_checker::prepass::sweep`])
+//!   drives 64 random scenarios per step through the group
+//!   representative's netlist and evaluates every surviving property
+//!   word-wide — each violating lane's trace is replayed against *its own
+//!   job's* netlist before being served, so the sweep can save SAT queries
+//!   but never corrupt a verdict;
 //! * **falsifiable properties** the fuzz missed get their counterexample
 //!   from the shared unrolling — decoded, replay-checked and cached like
 //!   any engine result;
@@ -36,20 +36,16 @@
 //! (netlist, interface) payload. A whole-design batch of N properties
 //! therefore pays for one cone refinement, not N.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use ipcl_bitsim::{eval_expr_word, BitSimulator, LANES};
 use ipcl_bmc::{Counterexample, FrameEncoder, SequentialProperty, SolverSync};
+use ipcl_checker::prepass::sweep;
 use ipcl_core::FunctionalSpec;
-use ipcl_expr::VarId;
-use ipcl_rtl::{structural_digest, InitialState, SignalId, SignalKind};
+use ipcl_rtl::{structural_digest, InitialState};
 use ipcl_sat::{SatResult, Solver, SolverConfig};
 use ipcl_trace::{MetricSink, Tracer, Value};
-
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
 
 use crate::cache::{cache_key, revalidate, ProofCache};
 use crate::pool::process_job;
@@ -174,7 +170,7 @@ fn presolve_group(
 
     // Pass 1: cache hits (and malformed property selectors, settled as
     // errors immediately).
-    let mut sweep: Vec<(usize, SequentialProperty)> = Vec::new();
+    let mut pending: Vec<(usize, SequentialProperty)> = Vec::new();
     for &index in members {
         let job = &jobs[index];
         let property = match job.resolve_property() {
@@ -198,25 +194,65 @@ fn presolve_group(
             }
             cache.record_revalidation_failure();
         }
-        sweep.push((index, property));
+        pending.push((index, property));
     }
+    let mut settled = vec![false; pending.len()];
 
-    // Pass 2: the compiled 64-lane fuzz sweep — 64 random scenarios per
-    // step, word-wide property evaluation, lane traces replay-verified
-    // against each member's own job. Whatever it settles never reaches the
-    // solver.
-    let mut settled = vec![false; sweep.len()];
-    if depth > 0 && !sweep.is_empty() {
-        fuzz_group(
-            jobs,
-            representative,
-            &sweep,
-            &mut settled,
-            depth,
-            cache,
-            tracer,
-            resolved,
-        );
+    // Pass 2: the checker's 64-lane sweep over the representative. Each
+    // member's selector is resolved against the representative's own spec,
+    // so the sweep's replay assertion only judges the compiled design's own
+    // properties; a trace is served only if it also replays against the
+    // member's own job.
+    if depth > 0 && !pending.is_empty() {
+        let mut properties: Vec<SequentialProperty> = Vec::new();
+        let mut swept: Vec<Option<String>> = Vec::with_capacity(pending.len());
+        for (index, _) in &pending {
+            let at_representative = jobs[*index]
+                .property
+                .resolve(&representative.spec, &representative.netlist)
+                .ok();
+            if let Some(property) = &at_representative {
+                if !properties.iter().any(|p| p.name == property.name) {
+                    properties.push(property.clone());
+                }
+            }
+            swept.push(at_representative.map(|property| property.name));
+        }
+        if let Ok(found) = sweep(
+            &representative.spec,
+            &representative.netlist,
+            &properties,
+            depth as u64,
+            BATCH_FUZZ_SEED,
+        ) {
+            let mut fuzz_settled = 0u64;
+            for (slot, (index, property)) in pending.iter().enumerate() {
+                let Some(trace) = swept[slot]
+                    .as_ref()
+                    .and_then(|name| found.counterexamples.iter().find(|c| c.property == *name))
+                else {
+                    continue;
+                };
+                let counterexample = Counterexample {
+                    property: property.name.clone(),
+                    ..trace.clone()
+                };
+                if let Some(outcome) =
+                    serve_trace(&jobs[*index], property, counterexample, cache, tracer)
+                {
+                    resolved.push((*index, outcome));
+                    settled[slot] = true;
+                    fuzz_settled += 1;
+                }
+            }
+            tracer.event(
+                "serve.batch_fuzzed",
+                &[
+                    ("scenarios", Value::U64(found.scenarios)),
+                    ("settled", Value::U64(fuzz_settled)),
+                ],
+            );
+        }
     }
 
     // Pass 3: the shared bounded falsification sweep over one encoder and
@@ -225,14 +261,14 @@ fn presolve_group(
     // replay-verified against its own job before being served, so a
     // colliding-but-different member can cost a wasted query, never a wrong
     // verdict.
-    if depth > 0 && !sweep.is_empty() {
+    if depth > 0 && !pending.is_empty() {
         if let Ok(mut enc) = FrameEncoder::new(&representative.netlist, InitialState::Reset, 0) {
             let moe_vars: BTreeSet<_> = representative.spec.moe_vars().into_iter().collect();
             let mut solver = Solver::with_config(0, SolverConfig::default());
             let mut sync = SolverSync::default();
             for frame in 0..depth {
                 enc.ensure_frames(frame + 1);
-                for (slot, (index, property)) in sweep.iter().enumerate() {
+                for (slot, (index, property)) in pending.iter().enumerate() {
                     if settled[slot] || frame < property.latency.first_instance() {
                         continue;
                     }
@@ -241,29 +277,14 @@ fn presolve_group(
                         .negated();
                     sync.sync(&enc, &mut solver);
                     if let SatResult::Sat(model) = solver.solve_under_assumptions(&[bad]) {
-                        let frames = enc.decode_trace(&representative.spec, &model, frame + 1);
                         let counterexample = Counterexample {
                             property: property.name.clone(),
-                            frames,
+                            frames: enc.decode_trace(&representative.spec, &model, frame + 1),
                             violation_frame: frame,
                         };
-                        let job = &jobs[*index];
-                        let reproduced = counterexample
-                            .replay(&job.spec, &job.netlist, property)
-                            .map(|replay| replay.violation_reproduced)
-                            .unwrap_or(false);
-                        if reproduced {
-                            let outcome = JobOutcome {
-                                property: property.name.clone(),
-                                verdict: Verdict::Falsified,
-                                detail: format!("trace_frames={}", counterexample.length()),
-                                cached: false,
-                                certificate: None,
-                                counterexample: Some(counterexample),
-                            };
-                            cache.record_miss();
-                            tracer.counter("serve.cache.misses", 1);
-                            cache.store(&cache_key(&job.spec, &job.netlist, property), &outcome);
+                        if let Some(outcome) =
+                            serve_trace(&jobs[*index], property, counterexample, cache, tracer)
+                        {
                             resolved.push((*index, outcome));
                             settled[slot] = true;
                         }
@@ -272,149 +293,46 @@ fn presolve_group(
             }
         }
     }
-    for (slot, (index, _)) in sweep.iter().enumerate() {
+    for (slot, (index, _)) in pending.iter().enumerate() {
         if !settled[slot] {
             unresolved.push(*index);
         }
     }
 }
 
-/// Deterministic seed of the batch fuzz sweep (the stage is a pure
+/// Deterministic seed of the batch's 64-lane sweep (the stage is a pure
 /// accelerator, so reproducible runs matter more than stimulus variety).
 const BATCH_FUZZ_SEED: u64 = 0xB175_1B3C;
 
-/// The bit-parallel shallow-falsification stage of a group pre-solve:
-/// drives `depth` steps of 64 independent random environment scenarios
-/// through a compiled simulator of the group representative's netlist and
-/// evaluates every unsettled property word-wide each frame (environment
-/// sampled at the property's latency offset, `moe` signals live — exactly
-/// the [`Counterexample::replay`] discipline). A violating lane's input
-/// history becomes a candidate trace; it is served only if it replays
-/// against the member's own job, and marked settled in `settled`.
-#[allow(clippy::too_many_arguments)]
-fn fuzz_group(
-    jobs: &[Arc<JobRequest>],
-    representative: &Arc<JobRequest>,
-    sweep: &[(usize, SequentialProperty)],
-    settled: &mut [bool],
-    depth: usize,
+/// The falsified outcome for `job` carrying `counterexample` — if the trace
+/// replays against the job's own netlist, in which case it is also counted
+/// as a miss and cached. `None` when it does not reproduce.
+fn serve_trace(
+    job: &JobRequest,
+    property: &SequentialProperty,
+    counterexample: Counterexample,
     cache: &ProofCache,
     tracer: &Tracer,
-    resolved: &mut Vec<(usize, JobOutcome)>,
-) {
-    let Ok(mut sim) = BitSimulator::new(&representative.netlist) else {
-        return;
+) -> Option<JobOutcome> {
+    let reproduced = counterexample
+        .replay(&job.spec, &job.netlist, property)
+        .map(|replay| replay.violation_reproduced)
+        .unwrap_or(false);
+    if !reproduced {
+        return None;
+    }
+    let outcome = JobOutcome {
+        property: property.name.clone(),
+        verdict: Verdict::Falsified,
+        detail: format!("trace_frames={}", counterexample.length()),
+        cached: false,
+        certificate: None,
+        counterexample: Some(counterexample),
     };
-    let mut rng = StdRng::seed_from_u64(BATCH_FUZZ_SEED);
-    let pool = representative.spec.pool();
-    let moe_vars: BTreeSet<VarId> = representative.spec.moe_vars().into_iter().collect();
-    // Pre-resolve the environment inputs the netlist implements and the
-    // signals behind the moe variables (any kind: replay reads them with
-    // `value_by_name`, whatever drives them).
-    let driven: Vec<(VarId, Option<SignalId>)> = representative
-        .spec
-        .env_vars()
-        .into_iter()
-        .map(|var| {
-            let signal = representative
-                .netlist
-                .find(&pool.name_or_fallback(var))
-                .filter(|&s| matches!(representative.netlist.signal(s).kind, SignalKind::Input));
-            (var, signal)
-        })
-        .collect();
-    let moe_signals: BTreeMap<VarId, SignalId> = moe_vars
-        .iter()
-        .filter_map(|&var| {
-            representative
-                .netlist
-                .find(&pool.name_or_fallback(var))
-                .map(|signal| (var, signal))
-        })
-        .collect();
-
-    let mut history: Vec<BTreeMap<VarId, u64>> = Vec::with_capacity(depth);
-    let mut fuzz_settled = 0u64;
-    for frame in 0..depth {
-        let mut env = BTreeMap::new();
-        for &(var, signal) in &driven {
-            let word = rng.next_u64();
-            env.insert(var, word);
-            if let Some(signal) = signal {
-                sim.set_input_word(signal, word);
-            }
-        }
-        history.push(env);
-        // One settle serves every moe read of this frame.
-        let moe_words: BTreeMap<VarId, u64> = moe_signals
-            .iter()
-            .map(|(&var, &signal)| (var, sim.value_word(signal)))
-            .collect();
-
-        for (slot, (index, property)) in sweep.iter().enumerate() {
-            if settled[slot] || frame < property.latency.first_instance() {
-                continue;
-            }
-            let env_frame = frame.saturating_sub(property.latency.offset());
-            let lookup = |v: VarId| {
-                if moe_vars.contains(&v) {
-                    moe_words.get(&v).copied().unwrap_or(0)
-                } else {
-                    history[env_frame].get(&v).copied().unwrap_or(0)
-                }
-            };
-            let bad = !eval_expr_word(&property.ok, lookup);
-            if bad == 0 {
-                continue;
-            }
-            let lane = bad.trailing_zeros() as usize;
-            let frames: Vec<_> = history[..=frame]
-                .iter()
-                .map(|env| {
-                    env.iter()
-                        .map(|(&var, &word)| (pool.name_or_fallback(var), (word >> lane) & 1 == 1))
-                        .collect()
-                })
-                .collect();
-            let counterexample = Counterexample {
-                property: property.name.clone(),
-                frames,
-                violation_frame: frame,
-            };
-            let job = &jobs[*index];
-            let reproduced = counterexample
-                .replay(&job.spec, &job.netlist, property)
-                .map(|replay| replay.violation_reproduced)
-                .unwrap_or(false);
-            if !reproduced {
-                continue;
-            }
-            let outcome = JobOutcome {
-                property: property.name.clone(),
-                verdict: Verdict::Falsified,
-                detail: format!("trace_frames={}", counterexample.length()),
-                cached: false,
-                certificate: None,
-                counterexample: Some(counterexample),
-            };
-            cache.record_miss();
-            tracer.counter("serve.cache.misses", 1);
-            cache.store(&cache_key(&job.spec, &job.netlist, property), &outcome);
-            resolved.push((*index, outcome));
-            settled[slot] = true;
-            fuzz_settled += 1;
-        }
-        sim.step();
-    }
-    if fuzz_settled > 0 || tracer.is_enabled() {
-        tracer.event(
-            "serve.batch_fuzzed",
-            &[
-                ("scenarios", Value::U64((depth * LANES) as u64)),
-                ("settled", Value::U64(fuzz_settled)),
-            ],
-        );
-    }
+    cache.record_miss();
+    tracer.counter("serve.cache.misses", 1);
+    cache.store(&cache_key(&job.spec, &job.netlist, property), &outcome);
+    Some(outcome)
 }
 
 /// Convenience used by tests and the smoke check: pre-solve, then run the
@@ -447,17 +365,21 @@ mod tests {
     use ipcl_bmc::PropertyKind;
     use ipcl_checker::ProofStrategy;
     use ipcl_core::example::ExampleArch;
+    use ipcl_core::FunctionalSpecBuilder;
     use ipcl_pipesim::BrokenVariant;
+    use ipcl_rtl::Netlist;
     use ipcl_synth::synthesize_broken_interlock;
 
-    fn broken_batch() -> Vec<Arc<JobRequest>> {
-        let spec = ExampleArch::new().functional_spec();
-        let broken = synthesize_broken_interlock(&spec, BrokenVariant::IgnoreScoreboard);
-        (0..spec.stages().len())
-            .map(|stage_index| {
+    /// One functional job per stage of `netlist`, stage `i` asked with
+    /// `specs[i]`.
+    fn jobs(specs: &[&FunctionalSpec], netlist: &Netlist) -> Vec<Arc<JobRequest>> {
+        specs
+            .iter()
+            .enumerate()
+            .map(|(stage_index, spec)| {
                 Arc::new(JobRequest {
-                    spec: spec.clone(),
-                    netlist: broken.netlist().clone(),
+                    spec: (*spec).clone(),
+                    netlist: netlist.clone(),
                     property: PropertyRequest {
                         stage_index,
                         kind: PropertyKind::Functional,
@@ -470,52 +392,111 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn shared_sweep_settles_falsifiable_properties() {
-        let jobs = broken_batch();
-        let cache = ProofCache::new(None);
-        let tracer = Tracer::disabled();
-        let resolution = presolve_batch(&jobs, 6, &cache, &tracer);
-        assert!(
-            !resolution.resolved.is_empty(),
-            "the scoreboard break must falsify some stage within the sweep"
-        );
-        for (_, outcome) in &resolution.resolved {
-            assert_eq!(outcome.verdict, Verdict::Falsified);
-            assert!(outcome.counterexample.is_some());
+    fn broken_batch() -> Vec<Arc<JobRequest>> {
+        let spec = ExampleArch::new().functional_spec();
+        let broken = synthesize_broken_interlock(&spec, BrokenVariant::IgnoreScoreboard);
+        jobs(&vec![&spec; spec.stages().len()], broken.netlist())
+    }
+
+    /// A registered interlock that never stalls: every `moe` flag is a
+    /// register (correct reset value) that keeps loading `1`.
+    fn never_stalling_registered(spec: &FunctionalSpec) -> Netlist {
+        let pool = spec.pool();
+        let mut netlist = Netlist::new("never_stalls");
+        for var in spec.env_vars() {
+            netlist.input(&pool.name_or_fallback(var));
         }
-        assert_eq!(
-            resolution.resolved.len() + resolution.unresolved.len(),
-            jobs.len()
-        );
+        let one = netlist.constant("one", true);
+        for var in spec.moe_vars() {
+            let moe = netlist.register(&pool.name_or_fallback(var), true);
+            netlist.connect_register(moe, one).unwrap();
+            netlist.mark_output(moe);
+        }
+        netlist
+    }
+
+    /// `spec` rebuilt with its variables interned in another order: the
+    /// same names and rules under other `VarId`s.
+    fn reinterned(spec: &FunctionalSpec) -> FunctionalSpec {
+        let mut builder = FunctionalSpecBuilder::new();
+        builder.pool_mut().var("unrelated");
+        for stage in spec.stages() {
+            builder.declare_stage(stage.stage.clone()).unwrap();
+        }
+        for stage in spec.stages() {
+            for rule in &stage.rules {
+                let condition = rule.condition.display(spec.pool()).to_string();
+                builder
+                    .stall_rule_text(&stage.stage, &rule.label, &condition)
+                    .unwrap();
+            }
+        }
+        builder.build().unwrap()
     }
 
     #[test]
     fn fuzz_stage_settles_falsifiable_jobs_before_the_solver() {
-        let jobs = broken_batch();
-        let cache = ProofCache::new(None);
-        let tracer = Tracer::new(ipcl_trace::TraceConfig::enabled());
-        let resolution = presolve_batch(&jobs, 6, &cache, &tracer);
-        assert!(!resolution.resolved.is_empty());
-        let snapshot = tracer.snapshot().expect("tracing enabled");
-        let fuzzed = snapshot
-            .events
-            .iter()
-            .find(|e| e.kind == "serve.batch_fuzzed")
-            .expect("fuzz stage ran");
-        let settled = fuzzed
-            .fields
-            .iter()
-            .find(|(k, _)| k == "settled")
-            .map(|(_, v)| v.clone());
-        assert!(
-            matches!(settled, Some(Value::U64(n)) if n > 0),
-            "the 64-lane fuzz must catch the scoreboard break: {settled:?}"
-        );
-        // Fuzz-served traces pass the same replay bar as solver traces.
-        for (_, outcome) in &resolution.resolved {
-            assert_eq!(outcome.verdict, Verdict::Falsified);
-            assert!(outcome.counterexample.is_some());
+        // The combinational scoreboard break; a registered interlock that
+        // never stalls (registered latency); and that interlock with its
+        // second half of stages asked by renamed members (same names, other
+        // VarIds), grouped with the first.
+        let spec = ExampleArch::new().functional_spec();
+        let renamed = reinterned(&spec);
+        assert_ne!(spec.moe_vars(), renamed.moe_vars());
+        let stages = spec.stages().len();
+        let registered = never_stalling_registered(&spec);
+        let mixed: Vec<_> = (0..stages)
+            .map(|i| if i < stages / 2 { &spec } else { &renamed })
+            .collect();
+        for batch in [
+            broken_batch(),
+            jobs(&vec![&spec; stages], &registered),
+            jobs(&mixed, &registered),
+        ] {
+            let tracer = Tracer::new(ipcl_trace::TraceConfig::enabled());
+            let resolution = presolve_batch(&batch, 6, &ProofCache::new(None), &tracer);
+            let snapshot = tracer.snapshot().expect("tracing enabled");
+            let field = |kind: &str, name: &str| {
+                snapshot
+                    .events
+                    .iter()
+                    .find(|e| e.kind == kind)
+                    .and_then(|e| e.fields.iter().find(|(k, _)| k == name))
+                    .map(|(_, v)| v.clone())
+            };
+            assert_eq!(
+                field("serve.batch_presolved", "groups"),
+                Some(Value::U64(1))
+            );
+            let settled = field("serve.batch_fuzzed", "settled");
+            assert!(
+                matches!(settled, Some(Value::U64(n)) if n > 0),
+                "the 64-lane sweep must catch the break: {settled:?}"
+            );
+            // Nothing panicked, every job is accounted for, the renamed
+            // members were settled too, and every served trace replays
+            // against its own job.
+            assert_eq!(
+                resolution.resolved.len() + resolution.unresolved.len(),
+                batch.len()
+            );
+            let has_renamed = |i: &usize| batch[*i].spec == renamed;
+            assert_eq!(
+                resolution.resolved.iter().any(|(i, _)| has_renamed(i)),
+                (0..batch.len()).any(|i| has_renamed(&i))
+            );
+            for (index, outcome) in &resolution.resolved {
+                assert_eq!(outcome.verdict, Verdict::Falsified);
+                let own = &batch[*index];
+                let property = own.resolve_property().unwrap();
+                let replay = outcome
+                    .counterexample
+                    .as_ref()
+                    .expect("falsified outcomes carry a trace")
+                    .replay(&own.spec, &own.netlist, &property)
+                    .unwrap();
+                assert!(replay.violation_reproduced, "{}", property.name);
+            }
         }
     }
 

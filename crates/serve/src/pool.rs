@@ -10,12 +10,18 @@
 //! the next SAT-query boundary, then stores any definitive verdict back
 //! into the cache.
 //!
+//! A panic while deciding a job is caught by [`guarded`]: the job gets an
+//! error outcome naming the panic, `internal_errors` counts it, and the
+//! worker moves on.
+//!
 //! Observability: workers emit rate-limited `heartbeat` events with
-//! `engine: "serve"` (queue depth, running/done counts, cache hit/miss
-//! totals — rendered by `ipcl-tracetool watch` as a server progress line),
+//! `engine: "serve"` (queue depth, running/done counts, internal errors,
+//! cache hit/miss totals — rendered by `ipcl-tracetool watch` as a server
+//! progress line),
 //! per-job `serve.job_*` events, and the `serve.cache.*` counters /
 //! `serve.queue_depth` gauge through the unified metric sink.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -40,6 +46,17 @@ impl WorkerPool {
         cache: Arc<ProofCache>,
         tracer: Tracer,
     ) -> WorkerPool {
+        WorkerPool::spawn_with(workers, queue, cache, tracer, process_job)
+    }
+
+    /// As [`WorkerPool::spawn`], deciding each job with `decide`.
+    fn spawn_with(
+        workers: usize,
+        queue: Arc<JobQueue>,
+        cache: Arc<ProofCache>,
+        tracer: Tracer,
+        decide: Decide,
+    ) -> WorkerPool {
         let handles = (0..workers.max(1))
             .map(|worker| {
                 let queue = Arc::clone(&queue);
@@ -52,7 +69,9 @@ impl WorkerPool {
                         let mut heartbeat = Heartbeat::every_ms(200);
                         while let Some((id, request, cancel)) = queue.claim() {
                             beat(&tracer, &mut heartbeat, &queue, &cache);
-                            let outcome = process_job(&request, &cancel, &cache, &tracer);
+                            let outcome =
+                                guarded(&queue, || decide(&request, &cancel, &cache, &tracer))
+                                    .unwrap_or_else(|panic| panic_outcome(&request, &panic));
                             tracer.event(
                                 "serve.job_done",
                                 &[
@@ -80,6 +99,33 @@ impl WorkerPool {
     }
 }
 
+/// How a worker decides one job ([`process_job`] outside tests).
+type Decide = fn(&JobRequest, &AtomicBool, &ProofCache, &Tracer) -> JobOutcome;
+
+/// Runs `work`, catching a panic: it is counted in `queue`'s internal
+/// errors and returned as its message, so a panicking job never takes its
+/// thread down or leaves a client waiting. Workers wrap each job in it, and
+/// connection threads each batch pre-solve.
+pub(crate) fn guarded<T>(queue: &JobQueue, work: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(work)).map_err(|panic| {
+        queue.record_internal_error();
+        panic
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_owned())
+    })
+}
+
+/// The error outcome answering `request` after a caught panic.
+pub(crate) fn panic_outcome(request: &JobRequest, message: &str) -> JobOutcome {
+    let property = request
+        .resolve_property()
+        .map(|property| property.name)
+        .unwrap_or_default();
+    JobOutcome::error(&property, format!("internal error: panicked: {message}"))
+}
+
 fn beat(tracer: &Tracer, heartbeat: &mut Heartbeat, queue: &JobQueue, cache: &ProofCache) {
     let stats = queue.stats();
     tracer.gauge("serve.queue_depth", stats.queued as f64);
@@ -94,6 +140,7 @@ fn beat(tracer: &Tracer, heartbeat: &mut Heartbeat, queue: &JobQueue, cache: &Pr
             ("queued", Value::U64(stats.queued)),
             ("running", Value::U64(stats.running)),
             ("done", Value::U64(stats.done)),
+            ("internal_errors", Value::U64(stats.internal_errors)),
             ("hits", Value::U64(cache_stats.hits)),
             ("misses", Value::U64(cache_stats.misses)),
             ("evictions", Value::U64(cache_stats.evictions)),
@@ -247,6 +294,53 @@ mod tests {
             break;
         }
         assert!(hit_checked, "the broken variant must falsify some stage");
+    }
+
+    #[test]
+    fn guarded_turns_a_panic_into_a_counted_message() {
+        let queue = JobQueue::new();
+        assert_eq!(guarded(&queue, || 7), Ok(7));
+        assert_eq!(queue.stats().internal_errors, 0);
+        let caught = guarded(&queue, || -> u32 { panic!("lane {} diverged", 3) });
+        assert_eq!(caught, Err("lane 3 diverged".to_owned()));
+        assert_eq!(queue.stats().internal_errors, 1);
+    }
+
+    /// Panics on stage 0's job, decides every other job normally.
+    fn panics_on_stage_zero(
+        request: &JobRequest,
+        cancel: &AtomicBool,
+        cache: &ProofCache,
+        tracer: &Tracer,
+    ) -> JobOutcome {
+        assert_ne!(request.property.stage_index, 0, "injected engine panic");
+        process_job(request, cancel, cache, tracer)
+    }
+
+    #[test]
+    fn a_panicking_job_is_answered_and_its_worker_keeps_serving() {
+        let queue = Arc::new(JobQueue::new());
+        let pool = WorkerPool::spawn_with(
+            1,
+            Arc::clone(&queue),
+            Arc::new(ProofCache::new(None)),
+            Tracer::disabled(),
+            panics_on_stage_zero,
+        );
+        let failing = queue.submit(Arc::new(correct_job(0)));
+        let next = queue.submit(Arc::new(correct_job(1)));
+        let outcome = queue.wait(failing).expect("the panicking job is answered");
+        assert_eq!(outcome.verdict, Verdict::Error);
+        assert!(
+            outcome.detail.contains("injected engine panic"),
+            "{}",
+            outcome.detail
+        );
+        // The same (only) worker decides the next job.
+        assert_eq!(queue.wait(next).unwrap().verdict, Verdict::Proved);
+        assert_eq!(queue.stats().internal_errors, 1);
+        queue.shutdown();
+        pool.join();
     }
 
     #[test]

@@ -62,6 +62,37 @@ pub struct PropertyRequest {
     pub latency: Option<Latency>,
 }
 
+impl PropertyRequest {
+    /// Resolves the selector against `spec`, auto-detecting the latency
+    /// from `netlist` when none is given.
+    ///
+    /// # Errors
+    ///
+    /// When the stage index is out of range.
+    pub(crate) fn resolve(
+        &self,
+        spec: &FunctionalSpec,
+        netlist: &Netlist,
+    ) -> Result<SequentialProperty, String> {
+        if self.stage_index >= spec.stages().len() {
+            return Err(format!(
+                "stage_index {} out of range ({} stages)",
+                self.stage_index,
+                spec.stages().len()
+            ));
+        }
+        let latency = self
+            .latency
+            .unwrap_or_else(|| Latency::detect(spec, netlist));
+        Ok(SequentialProperty::for_stage(
+            spec,
+            self.stage_index,
+            self.kind,
+            latency,
+        ))
+    }
+}
+
 /// One verification job: the complete problem plus engine knobs.
 #[derive(Clone, Debug)]
 pub struct JobRequest {
@@ -87,23 +118,7 @@ impl JobRequest {
     ///
     /// When the stage index is out of range.
     pub fn resolve_property(&self) -> Result<SequentialProperty, String> {
-        if self.property.stage_index >= self.spec.stages().len() {
-            return Err(format!(
-                "stage_index {} out of range ({} stages)",
-                self.property.stage_index,
-                self.spec.stages().len()
-            ));
-        }
-        let latency = self
-            .property
-            .latency
-            .unwrap_or_else(|| Latency::detect(&self.spec, &self.netlist));
-        Ok(SequentialProperty::for_stage(
-            &self.spec,
-            self.property.stage_index,
-            self.property.kind,
-            latency,
-        ))
+        self.property.resolve(&self.spec, &self.netlist)
     }
 
     /// The checker options implied by the job's engine knobs.

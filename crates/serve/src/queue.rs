@@ -9,7 +9,7 @@
 //! query boundary rather than at the end of the job.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::protocol::{JobOutcome, JobRequest, Verdict};
@@ -51,7 +51,7 @@ struct QueueState {
     shutdown: bool,
 }
 
-/// Counts of jobs per lifecycle state.
+/// Counts of jobs per lifecycle state, plus the internal errors.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Jobs submitted but not yet claimed.
@@ -60,6 +60,9 @@ pub struct QueueStats {
     pub running: u64,
     /// Jobs finished.
     pub done: u64,
+    /// Panics caught while deciding jobs (each answered as an error
+    /// outcome instead of killing its thread).
+    pub internal_errors: u64,
 }
 
 /// The shared job queue. See the module docs.
@@ -68,6 +71,7 @@ pub struct JobQueue {
     state: Mutex<QueueState>,
     work: Condvar,
     done: Condvar,
+    internal_errors: AtomicU64,
 }
 
 impl JobQueue {
@@ -240,10 +244,18 @@ impl JobQueue {
         self.state.lock().expect("queue lock").shutdown
     }
 
+    /// Counts one panic caught while deciding a job.
+    pub(crate) fn record_internal_error(&self) {
+        self.internal_errors.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Per-state job counts.
     pub fn stats(&self) -> QueueStats {
         let state = self.state.lock().expect("queue lock");
-        let mut stats = QueueStats::default();
+        let mut stats = QueueStats {
+            internal_errors: self.internal_errors.load(Ordering::Relaxed),
+            ..QueueStats::default()
+        };
         for record in state.jobs.values() {
             match record.state {
                 JobState::Queued => stats.queued += 1,

@@ -17,7 +17,7 @@
 //! * `status` — job state and, when done, the result;
 //! * `wait` — block until the job finishes, answer the result;
 //! * `cancel` — flag a job's cancellation token;
-//! * `stats` — queue and cache counters;
+//! * `stats` — queue, internal-error and cache counters;
 //! * `shutdown` — acknowledge, then begin graceful shutdown: cancel
 //!   in-flight jobs cooperatively, drain and join workers, join
 //!   connections, release the listener.
@@ -33,9 +33,9 @@ use std::time::Duration;
 use ipcl_trace::{Tracer, Value};
 use ipcl_tracetool::json::{write_json_string, Json};
 
-use crate::batch::presolve_batch;
+use crate::batch::{presolve_batch, BatchResolution};
 use crate::cache::{CacheLimits, ProofCache};
-use crate::pool::WorkerPool;
+use crate::pool::{guarded, panic_outcome, WorkerPool};
 use crate::protocol::{parse_batch, JobRequest};
 use crate::queue::{JobQueue, JobState};
 
@@ -286,7 +286,19 @@ fn respond(
                 Ok(jobs) => jobs.into_iter().map(Arc::new).collect(),
                 Err(message) => return error_response(&message),
             };
-            let resolution = presolve_batch(&parsed, batch_depth, cache, tracer);
+            // A panic in the pre-solve answers every job of the batch with
+            // an error outcome rather than killing the connection.
+            let resolution = guarded(queue, || {
+                presolve_batch(&parsed, batch_depth, cache, tracer)
+            })
+            .unwrap_or_else(|panic| BatchResolution {
+                resolved: parsed
+                    .iter()
+                    .enumerate()
+                    .map(|(index, job)| (index, panic_outcome(job, &panic)))
+                    .collect(),
+                unresolved: Vec::new(),
+            });
             let presolved = resolution.resolved.len();
             let mut ids = vec![0u64; parsed.len()];
             for (index, outcome) in resolution.resolved {
@@ -334,11 +346,13 @@ fn respond(
             let cache_stats = cache.stats();
             format!(
                 "{{\"ok\": true, \"queued\": {}, \"running\": {}, \"done\": {}, \
-                 \"cache_hits\": {}, \"cache_misses\": {}, \"revalidation_failures\": {}, \
-                 \"cache_evictions\": {}, \"cache_entries\": {}, \"cache_bytes\": {}}}",
+                 \"internal_errors\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
+                 \"revalidation_failures\": {}, \"cache_evictions\": {}, \
+                 \"cache_entries\": {}, \"cache_bytes\": {}}}",
                 queue_stats.queued,
                 queue_stats.running,
                 queue_stats.done,
+                queue_stats.internal_errors,
                 cache_stats.hits,
                 cache_stats.misses,
                 cache_stats.revalidation_failures,

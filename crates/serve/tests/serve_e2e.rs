@@ -172,6 +172,7 @@ fn cancel_stats_and_unknown_ids_behave_over_the_wire() {
         "queued",
         "running",
         "done",
+        "internal_errors",
         "cache_hits",
         "cache_misses",
         "revalidation_failures",

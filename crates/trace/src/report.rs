@@ -15,9 +15,9 @@
 //! post-hoc. This is what the round-trip acceptance test exercises across
 //! the portfolio's racing engine threads.
 //!
-//! Everything here is hand-rolled: the workspace builds offline and the
-//! in-tree `serde` stand-in is marker-traits only, so the crate carries its
-//! own small JSON writer and (flat-object) parser.
+//! Everything here is hand-rolled: the workspace builds offline with no
+//! serialisation crate, so the crate carries its own small JSON writer and
+//! (flat-object) parser.
 
 use crate::{Event, TraceSnapshot, Value};
 use std::borrow::Cow;

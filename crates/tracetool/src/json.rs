@@ -2,9 +2,9 @@
 //! consumes (`profile.json`, `BENCH_*.json`, its own Chrome-trace output
 //! in tests).
 //!
-//! The workspace builds offline and the in-tree `serde` stand-in is
-//! marker-traits only, so — like `ipcl_trace::report`'s flat-object JSONL
-//! parser — this module is hand-rolled. Unlike that parser it handles the
+//! The workspace builds offline with no serialisation crate, so — like
+//! `ipcl_trace::report`'s flat-object JSONL parser — this module is
+//! hand-rolled. Unlike that parser it handles the
 //! full recursive grammar (nested arrays/objects), which the profile and
 //! bench documents need. Numbers are held as `f64`: every metric in the
 //! artifacts is a count or a duration well inside the 2^53 exact-integer

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --example synthesize_interlock`.
 
-use ipcl::checker::{check_netlist, check_reset_values, random_falsification, Engine};
+use ipcl::checker::{check_netlist, check_reset_values, random_falsification_bitsim, Engine};
 use ipcl::core::example::ExampleArch;
 use ipcl::synth::{synthesize_interlock, synthesize_interlock_with, SynthesisOptions};
 
@@ -54,10 +54,17 @@ fn main() {
         println!("  {signal}: resets to {actual} but the empty pipeline requires {expected}");
     }
 
-    let dynamic = random_falsification(&spec, buggy.netlist(), 100, 7).expect("netlist elaborates");
+    let sweep =
+        random_falsification_bitsim(&spec, buggy.netlist(), 100, 7).expect("netlist elaborates");
     println!(
-        "random falsification found {} assertion violations in 100 cycles (first at cycle {})",
-        dynamic.len(),
-        dynamic.first().map(|v| v.cycle).unwrap_or_default()
+        "random falsification found {} violations in 100 cycles x 64 lanes (first at cycle {}), \
+         {} traces replay-verified",
+        sweep.violations.len(),
+        sweep
+            .violations
+            .first()
+            .map(|v| v.cycle)
+            .unwrap_or_default(),
+        sweep.counterexamples.len()
     );
 }

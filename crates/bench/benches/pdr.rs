@@ -4,19 +4,21 @@
 //! bench compares their constant factors; on the deep wait-state chains
 //! k-induction runs to its bound without an answer while PDR's cost is the
 //! discovery of the chain lemmas — the gap the portfolio checker exists to
-//! arbitrate. The `parallel_pdr` group measures the parallel engine's
-//! scheduling overhead against the sequential engine and across worker
-//! counts (wall-clock scaling itself is the domain of experiment E14).
+//! arbitrate. The `parallel_pdr` group measures the batched rounds'
+//! scheduling overhead against singleton rounds (`check_property_pdr`) and
+//! across worker counts (wall-clock scaling itself is the domain of
+//! experiment E14).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ipcl_bmc::{check_property, BmcOptions, Latency, PropertyKind, SequentialProperty};
 use ipcl_core::example::ExampleArch;
 use ipcl_pdr::deep::deep_pipeline;
 use ipcl_pdr::{
-    check_property_pdr, check_property_pdr_parallel, check_property_portfolio, ParallelPdrOptions,
+    check_property_pdr, check_property_pdr_traced, check_property_portfolio, ParallelPdrOptions,
     PdrOptions,
 };
 use ipcl_synth::{synthesize_interlock_with, SynthesisOptions};
+use ipcl_trace::Tracer;
 
 fn bench_registered_example(c: &mut Criterion) {
     let spec = ExampleArch::new().functional_spec();
@@ -141,8 +143,15 @@ fn bench_parallel_pdr(c: &mut Criterion) {
         };
         group.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, _| {
             b.iter(|| {
-                let result =
-                    check_property_pdr_parallel(&spec, &netlist, &property, &options).unwrap();
+                let result = check_property_pdr_traced(
+                    &spec,
+                    &netlist,
+                    &property,
+                    &options,
+                    None,
+                    &Tracer::disabled(),
+                )
+                .unwrap();
                 assert!(result.outcome.is_proved());
             })
         });

@@ -1,21 +1,24 @@
 //! Experiment E14: parallel proof-engine scaling.
 //!
-//! Speedup-versus-cores of the work-stealing parallel PDR engine
-//! (`ipcl_pdr::parallel`) on the deep wait-state chain family — the
-//! workload whose proofs are dominated by independent consecution /
-//! generalisation queries, i.e. exactly the work the scheduler fans out.
-//! Each depth runs:
+//! Speedup-versus-cores of the work-stealing PDR round scheduler
+//! (`ipcl_pdr::parallel`, which runs every PDR check) on the deep wait-state chain
+//! family — the workload whose proofs are dominated by independent
+//! consecution / generalisation queries, i.e. exactly the work the
+//! scheduler fans out. Each depth runs:
 //!
-//! * the **sequential** engine (`check_property_pdr`) as the baseline row;
-//! * the **parallel** engine at 1, 2, 4 and 8 workers.
+//! * the **sequential** row: `check_property_pdr`'s configuration — one
+//!   worker with singleton rounds (`ParallelPdrOptions::for_threads(_, 1)`),
+//!   the sequential IC3 trajectory — as the baseline;
+//! * the **parallel** rows: batched rounds (the default batch of 16) at
+//!   1, 2, 4 and 8 workers.
 //!
 //! Asserted invariants (the determinism guarantee is checked on every
 //! run, the performance claims only where they are measurable):
 //!
 //! * the certificate renders **bit-identically** across every worker
 //!   count — the scheduler's determinism-by-construction claim;
-//! * 1-worker parallel is within 10% of the sequential engine (no-thread
-//!   fast path; asserted in full runs, reported in smoke runs);
+//! * 1-worker batched rounds are within 10% of the sequential row
+//!   (asserted in full runs, reported in smoke runs);
 //! * ≥ 3× speedup at 8 workers over 1 worker on the deepest chain —
 //!   asserted only in full runs on hosts with ≥ 8 available cores, since
 //!   wall-clock scaling is meaningless on fewer. When the assertion
@@ -38,10 +41,7 @@ use std::time::Instant;
 use ipcl_bench::{emit_bench_json, median_ms, TraceArgs};
 use ipcl_bmc::{Latency, PropertyKind, SequentialProperty};
 use ipcl_pdr::deep::deep_pipeline;
-use ipcl_pdr::{
-    check_property_pdr_parallel_traced, check_property_pdr_traced, ParallelPdrOptions, PdrOptions,
-    PdrOutcome, PdrResult,
-};
+use ipcl_pdr::{check_property_pdr_traced, ParallelPdrOptions, PdrOptions, PdrOutcome, PdrResult};
 
 const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
@@ -115,7 +115,7 @@ fn main() {
                 &spec,
                 &netlist,
                 &property,
-                &PdrOptions::default(),
+                &ParallelPdrOptions::for_threads(PdrOptions::default(), 1),
                 None,
                 trace.tracer(),
             )
@@ -159,7 +159,7 @@ fn main() {
             let mut measured = None;
             for _ in 0..repeats {
                 let start = Instant::now();
-                let result = check_property_pdr_parallel_traced(
+                let result = check_property_pdr_traced(
                     &spec,
                     &netlist,
                     &property,
@@ -229,13 +229,13 @@ fn main() {
             if workers == 1 {
                 let overhead = ms / sequential_ms;
                 eprintln!(
-                    "{name}: 1-worker parallel {ms:.2}ms vs sequential {sequential_ms:.2}ms \
+                    "{name}: 1-worker batched {ms:.2}ms vs sequential {sequential_ms:.2}ms \
                      ({overhead:.2}x)"
                 );
                 if !smoke {
                     assert!(
                         overhead <= 1.10,
-                        "{name}: 1-worker parallel must stay within 10% of sequential \
+                        "{name}: 1-worker batched rounds must stay within 10% of sequential \
                          ({ms:.2}ms vs {sequential_ms:.2}ms)"
                     );
                 }

@@ -32,7 +32,8 @@ use ipcl_bmc::{
 use ipcl_core::{ArchSpec, FunctionalSpec};
 use ipcl_pdr::deep::deep_pipeline;
 use ipcl_pdr::{
-    check_property_pdr_traced, check_property_portfolio_traced, PdrOptions, PdrOutcome,
+    check_property_pdr_traced, check_property_portfolio_traced, ParallelPdrOptions, PdrOptions,
+    PdrOutcome,
 };
 use ipcl_rtl::Netlist;
 use ipcl_synth::{synthesize_interlock_with, SynthesisOptions};
@@ -169,10 +170,13 @@ fn main() {
             ));
 
             // ---- PDR.
-            let pdr_options = PdrOptions {
-                solver,
-                ..Default::default()
-            };
+            let pdr_options = ParallelPdrOptions::for_threads(
+                PdrOptions {
+                    solver,
+                    ..Default::default()
+                },
+                1,
+            );
             let mut times = Vec::new();
             let mut verdict = String::new();
             let mut clauses = 0usize;
@@ -252,7 +256,8 @@ fn main() {
             &workload.netlist,
             &workload.property,
             &bmc_options,
-            &PdrOptions::default(),
+            &ParallelPdrOptions::for_threads(PdrOptions::default(), 1),
+            None,
             trace.tracer(),
         )
         .expect("netlist elaborates");

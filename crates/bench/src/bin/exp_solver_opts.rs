@@ -39,7 +39,7 @@ use ipcl_bench::{emit_bench_json, pigeonhole_cnf, TraceArgs};
 use ipcl_bmc::{check_property_traced, BmcOptions, Latency, PropertyKind, SequentialProperty};
 use ipcl_core::example::ExampleArch;
 use ipcl_pdr::deep::deep_pipeline;
-use ipcl_pdr::{check_property_pdr_traced, PdrOptions, PdrOutcome};
+use ipcl_pdr::{check_property_pdr_traced, ParallelPdrOptions, PdrOptions, PdrOutcome};
 use ipcl_sat::{SatResult, Solver, SolverConfig};
 use ipcl_synth::{synthesize_interlock_with, SynthesisOptions};
 use ipcl_trace::Tracer;
@@ -83,10 +83,13 @@ fn run_deep_pdr(depth: usize, config: SolverConfig, repeats: usize, tracer: &Tra
     let (spec, netlist) = deep_pipeline(depth);
     let property =
         SequentialProperty::for_stage(&spec, 0, PropertyKind::Performance, Latency::Combinational);
-    let options = PdrOptions {
-        solver: config,
-        ..PdrOptions::default()
-    };
+    let options = ParallelPdrOptions::for_threads(
+        PdrOptions {
+            solver: config,
+            ..PdrOptions::default()
+        },
+        1,
+    );
     let mut times = Vec::new();
     let mut detail = String::new();
     for _ in 0..repeats {

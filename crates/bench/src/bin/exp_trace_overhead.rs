@@ -28,7 +28,9 @@ use std::time::Instant;
 use ipcl_bench::{emit_bench_json, TraceArgs};
 use ipcl_bmc::{BmcOptions, Latency, PropertyKind, SequentialProperty};
 use ipcl_pdr::deep::deep_pipeline;
-use ipcl_pdr::{check_property_pdr_traced, check_property_portfolio_traced, PdrOptions};
+use ipcl_pdr::{
+    check_property_pdr_traced, check_property_portfolio_traced, ParallelPdrOptions, PdrOptions,
+};
 use ipcl_trace::{report, TraceConfig, Tracer};
 
 const CHAIN_DEPTH: usize = 16;
@@ -45,7 +47,7 @@ fn main() {
         max_depth: CHAIN_DEPTH.saturating_sub(3),
         ..Default::default()
     };
-    let pdr_options = PdrOptions::default();
+    let pdr_options = ParallelPdrOptions::for_threads(PdrOptions::default(), 1);
 
     // ---- Overhead: single-threaded PDR, disabled vs. enabled tracer.
     let run_pdr = |tracer: &Tracer| {
@@ -84,6 +86,7 @@ fn main() {
         &property,
         &bmc_options,
         &pdr_options,
+        None,
         &tracer,
     )
     .expect("netlist elaborates");

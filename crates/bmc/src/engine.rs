@@ -267,34 +267,16 @@ pub fn check_property(
     property: &SequentialProperty,
     options: &BmcOptions,
 ) -> Result<BmcResult, BmcError> {
-    check_property_with_cancel(spec, netlist, property, options, None)
+    check_property_traced(spec, netlist, property, options, None, &Tracer::disabled())
 }
 
-/// As [`check_property`], but polls `cancel` between depths and returns the
-/// current [`BmcOutcome::Unknown`] as soon as it is set — the cooperative
-/// cancellation used by `ipcl-pdr`'s portfolio racer to stop the losing
-/// engine once the winner has a verdict.
-pub fn check_property_with_cancel(
-    spec: &FunctionalSpec,
-    netlist: &Netlist,
-    property: &SequentialProperty,
-    options: &BmcOptions,
-    cancel: Option<&AtomicBool>,
-) -> Result<BmcResult, BmcError> {
-    check_property_traced(
-        spec,
-        netlist,
-        property,
-        options,
-        cancel,
-        &Tracer::disabled(),
-    )
-}
-
-/// As [`check_property_with_cancel`], with an observability handle: the run
-/// executes under a `bmc.check` span (encode work under `bmc.encode`, SAT
-/// queries under the solver's own `sat.solve`), emits one `bmc_depth` event
-/// per explored depth with the per-depth solver-stats delta, and folds the
+/// As [`check_property`], with cooperative cancellation and an
+/// observability handle. `cancel` is polled between depths; once it is set
+/// the run returns the current [`BmcOutcome::Unknown`] — the cancellation
+/// `ipcl-pdr`'s portfolio uses to stop the losing racer. The run executes
+/// under a `bmc.check` span (encode work under `bmc.encode`, SAT queries
+/// under the solver's own `sat.solve`), emits one `bmc_depth` event per
+/// explored depth with the per-depth solver-stats delta, and folds the
 /// unroller's structural-hashing counters into the tracer's metrics.
 pub fn check_property_traced(
     spec: &FunctionalSpec,

@@ -47,9 +47,9 @@ pub mod trace;
 
 pub use encode::{FrameEncoder, SolverSync};
 pub use engine::{
-    check_property, check_property_traced, check_property_with_cancel, check_stall_escape,
-    missing_moe_signals, missing_property_signals, BmcError, BmcOptions, BmcOutcome, BmcResult,
-    BmcStats, StallEscapeReport,
+    check_property, check_property_traced, check_stall_escape, missing_moe_signals,
+    missing_property_signals, BmcError, BmcOptions, BmcOutcome, BmcResult, BmcStats,
+    StallEscapeReport,
 };
 pub use property::{Latency, PropertyKind, SequentialProperty};
 pub use trace::{Counterexample, Replay};

@@ -38,9 +38,8 @@ use ipcl_core::fixpoint::derive_concrete;
 use ipcl_core::FunctionalSpec;
 use ipcl_expr::Assignment;
 use ipcl_pdr::{
-    check_property_pdr_parallel_traced, check_property_pdr_traced,
-    check_property_portfolio_parallel_with_cancel, check_property_portfolio_with_cancel,
-    Certificate, ParallelPdrOptions, PdrOptions, PdrOutcome, PdrResult, PortfolioWinner,
+    check_property_pdr_traced, check_property_portfolio_traced, Certificate, ParallelPdrOptions,
+    PdrOptions, PdrOutcome, PdrResult, PortfolioWinner,
 };
 use ipcl_rtl::{Netlist, SignalKind};
 use ipcl_trace::{TraceConfig, TraceSnapshot, Tracer, Value};
@@ -142,12 +141,13 @@ pub struct SequentialOptions {
     pub pdr: PdrOptions,
     /// Worker threads of the proof engine itself (not to be confused with
     /// [`SequentialOptions::parallel`], which is per-property parallelism).
-    /// `1` (the default) runs the sequential PDR engine exactly; `N ≥ 2`
-    /// routes [`ProofStrategy::Pdr`] and the PDR racer of
-    /// [`ProofStrategy::Portfolio`] through the parallel proof engine
-    /// ([`ipcl_pdr::check_property_pdr_parallel`]) with `N` workers —
-    /// verdicts, traces and certificates are deterministic in `N` (see the
-    /// `ipcl_pdr::parallel` docs). [`ProofStrategy::KInduction`] is
+    /// [`ProofStrategy::Pdr`] and the PDR racer of
+    /// [`ProofStrategy::Portfolio`] run the PDR round scheduler with
+    /// [`ipcl_pdr::ParallelPdrOptions::for_threads`]`(pdr, threads)`: `1`
+    /// (the default) is one worker with singleton rounds, the sequential
+    /// IC3 trajectory; `N ≥ 2` runs `N` workers over batched rounds.
+    /// Verdicts, traces and certificates are deterministic in `N ≥ 2` (see
+    /// the `ipcl_pdr::parallel` docs). [`ProofStrategy::KInduction`] is
     /// unaffected. Use [`ipcl_pdr::default_threads`] to fill in the host's
     /// available parallelism.
     pub threads: usize,
@@ -468,48 +468,27 @@ pub fn check_property_job(
     cancel: Option<&std::sync::atomic::AtomicBool>,
     tracer: &Tracer,
 ) -> Result<(BmcResult, Option<Certificate>), BmcError> {
+    let pdr_options = ParallelPdrOptions::for_threads(options.pdr, options.threads);
     match options.strategy {
         ProofStrategy::KInduction => {
             check_property_traced(spec, netlist, property, &options.bmc, cancel, tracer)
                 .map(|r| (r, None))
         }
         ProofStrategy::Pdr => {
-            let result = if options.threads >= 2 {
-                check_property_pdr_parallel_traced(
-                    spec,
-                    netlist,
-                    property,
-                    &parallel_options(options),
-                    cancel,
-                    tracer,
-                )?
-            } else {
-                check_property_pdr_traced(spec, netlist, property, &options.pdr, cancel, tracer)?
-            };
+            let result =
+                check_property_pdr_traced(spec, netlist, property, &pdr_options, cancel, tracer)?;
             Ok(fold_pdr_result(result))
         }
         ProofStrategy::Portfolio => {
-            let result = if options.threads >= 2 {
-                check_property_portfolio_parallel_with_cancel(
-                    spec,
-                    netlist,
-                    property,
-                    &options.bmc,
-                    &parallel_options(options),
-                    cancel,
-                    tracer,
-                )?
-            } else {
-                check_property_portfolio_with_cancel(
-                    spec,
-                    netlist,
-                    property,
-                    &options.bmc,
-                    &options.pdr,
-                    cancel,
-                    tracer,
-                )?
-            };
+            let result = check_property_portfolio_traced(
+                spec,
+                netlist,
+                property,
+                &options.bmc,
+                &pdr_options,
+                cancel,
+                tracer,
+            )?;
             match result.winner {
                 Some(PortfolioWinner::Pdr) => Ok(fold_pdr_result(result.pdr)),
                 // BMC won — or neither engine was definitive, in which case
@@ -517,18 +496,6 @@ pub fn check_property_job(
                 Some(PortfolioWinner::Bmc) | None => Ok((result.bmc, None)),
             }
         }
-    }
-}
-
-/// The parallel engine's options under [`SequentialOptions`]: the
-/// configured PDR knobs carry over, the worker count comes from
-/// [`SequentialOptions::threads`], and the scheduler knobs keep their
-/// (worker-count-independent) defaults.
-fn parallel_options(options: &SequentialOptions) -> ParallelPdrOptions {
-    ParallelPdrOptions {
-        base: options.pdr,
-        threads: options.threads,
-        ..ParallelPdrOptions::default()
     }
 }
 

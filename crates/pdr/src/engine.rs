@@ -1,4 +1,4 @@
-//! The IC3 / property-directed reachability engine.
+//! The IC3 / property-directed reachability vocabulary and frame encoding.
 //!
 //! Where k-induction strengthens a property by brute unrolling depth, PDR
 //! strengthens it clause by clause (Bradley's IC3, in the incremental-SAT
@@ -35,10 +35,14 @@
 //! the property *unconditionally* — over every input sequence from reset —
 //! which is also what the k-induction step case assumes, so the two engines
 //! agree on every design the portfolio races them on.
+//!
+//! This module holds the options, statistics and verdict types and the
+//! `FrameCtx` that answers every frame query. The search loop itself — obligation
+//! queue, clause propagation, fixpoint detection — is the round scheduler
+//! of [`crate::parallel`], which [`crate::check_property_pdr`] runs with
+//! one worker.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::{BTreeMap, BTreeSet};
 
 use ipcl_bmc::encode::{FrameEncoder, SolverSync};
 use ipcl_bmc::{BmcError, Counterexample, SequentialProperty};
@@ -46,7 +50,7 @@ use ipcl_core::FunctionalSpec;
 use ipcl_expr::{Lit, VarId};
 use ipcl_rtl::{InitialState, Netlist, SignalId, SignalKind};
 use ipcl_sat::{SatResult, Solver, SolverConfig};
-use ipcl_trace::{Heartbeat, MetricSink, Tracer, Value};
+use ipcl_trace::{MetricSink, Tracer};
 
 use crate::certificate::{Certificate, CertificateCheck, StateLiteral};
 
@@ -110,11 +114,11 @@ pub struct PdrStats {
     /// pops whose consecution query ran against `F_{k-1}`. Skewed
     /// distributions indicate one frame dominating the search.
     pub obligations_per_frame: Vec<u64>,
-    /// Solver-learned clauses imported from sibling workers (parallel
-    /// engine only; the sequential engine leaves this 0).
+    /// Solver-learned clauses imported from sibling workers (0 unless
+    /// clause sharing is live: two or more workers).
     pub imported_clauses: u64,
-    /// Solver-learned clauses exported to sibling workers (parallel
-    /// engine only).
+    /// Solver-learned clauses exported to sibling workers (0 unless
+    /// clause sharing is live).
     pub exported_clauses: u64,
 }
 
@@ -216,7 +220,7 @@ pub(crate) type Cube = Vec<(usize, bool)>;
 /// trailing sequence. `promoted_from` is set when the lemma moved up from a
 /// lower frame during propagation (delta encoding: the cube leaves the
 /// lower frame's bookkeeping). Replaying a lemma log in order reproduces
-/// the frame state exactly — the sharing unit of the parallel engine's
+/// the frame state exactly — the sharing unit of the round scheduler's
 /// [`crate::parallel`] commit log.
 #[derive(Clone, Debug)]
 pub(crate) struct FrameLemma {
@@ -225,26 +229,11 @@ pub(crate) struct FrameLemma {
     pub(crate) promoted_from: Option<usize>,
 }
 
-/// One entry of the proof-obligation arena. The parent chain reconstructs
-/// counterexample traces: `step_inputs` is the input valuation driving this
-/// obligation's state into its parent's state in one cycle.
-struct Obligation {
-    cube: Cube,
-    parent: Option<usize>,
-    step_inputs: BTreeMap<String, bool>,
-}
-
-enum BlockOutcome {
-    Blocked,
-    Counterexample(Counterexample),
-    Cancelled,
-}
-
 /// The encoder + incremental solver + trailing frame sequence of one PDR
 /// search: everything needed to answer frame queries (consecution,
-/// generalisation, propagation, certificates). Extracted from the engine
-/// loop so the parallel scheduler ([`crate::parallel`]) can give every
-/// worker its own `FrameCtx` — construction is fully deterministic, so all
+/// generalisation, propagation, certificates). The round scheduler
+/// ([`crate::parallel`]) owns one canonical `FrameCtx` and gives every
+/// worker its own — construction is fully deterministic, so all
 /// workers allocate identical base encodings (and [`FrameCtx::base_bound`]
 /// means the same variable range in each), while frame activation literals
 /// beyond the base stay worker-local.
@@ -284,6 +273,9 @@ pub(crate) struct FrameCtx {
     pub(crate) clauses: usize,
     /// Literals dropped by cube generalisation.
     pub(crate) generalization_drops: u64,
+    /// [`PdrOptions::generalize`]: `false` makes [`FrameCtx::generalize`]
+    /// return the cube unchanged.
+    generalize: bool,
     tracer: Tracer,
 }
 
@@ -292,7 +284,7 @@ impl FrameCtx {
         spec: &FunctionalSpec,
         netlist: &Netlist,
         property: &SequentialProperty,
-        solver_config: SolverConfig,
+        options: &PdrOptions,
         tracer: &Tracer,
     ) -> Result<FrameCtx, BmcError> {
         let _encode = tracer.span("pdr.encode");
@@ -326,7 +318,8 @@ impl FrameCtx {
         let base_bound = enc.unroller().cnf().num_vars;
 
         let placeholder = act_init; // never assumed via `act[0]`
-        let mut solver = Solver::with_config(enc.unroller().cnf().num_vars as usize, solver_config);
+        let mut solver =
+            Solver::with_config(enc.unroller().cnf().num_vars as usize, options.solver);
         solver.set_tracer(tracer.clone());
         Ok(FrameCtx {
             enc,
@@ -344,6 +337,7 @@ impl FrameCtx {
             solve_calls: 0,
             clauses: 0,
             generalization_drops: 0,
+            generalize: options.generalize,
             tracer: tracer.clone(),
         })
     }
@@ -466,13 +460,17 @@ impl FrameCtx {
     /// removal keeps both initiation (the cube still excludes the reset
     /// state) and consecution (the relative-induction query stays UNSAT)
     /// is dropped, giving a clause that blocks exponentially many states
-    /// instead of one.
+    /// instead of one. With [`PdrOptions::generalize`] off the cube is
+    /// returned as is.
     ///
     /// The result depends only on SAT/UNSAT verdict *bits*, never on
     /// models, so it is identical no matter which sibling context computes
     /// it from the same committed frame state — the property the parallel
     /// engine's determinism rests on.
     pub(crate) fn generalize(&mut self, cube: Cube, k: usize) -> Cube {
+        if !self.generalize {
+            return cube;
+        }
         let _span = self.tracer.span_fast("pdr.generalize");
         let mut current = cube.clone();
         for &entry in &cube {
@@ -549,305 +547,6 @@ impl FrameCtx {
     }
 }
 
-struct Pdr<'a> {
-    spec: &'a FunctionalSpec,
-    property: &'a SequentialProperty,
-    options: PdrOptions,
-    ctx: FrameCtx,
-    stats: PdrStats,
-    tracer: Tracer,
-    /// Live-progress beats (rate-limited), checked per obligation pop and
-    /// per frame open — a deep proof reports its frontier while running.
-    heartbeat: Heartbeat,
-}
-
-impl<'a> Pdr<'a> {
-    fn new(
-        spec: &'a FunctionalSpec,
-        netlist: &Netlist,
-        property: &'a SequentialProperty,
-        options: PdrOptions,
-        tracer: &Tracer,
-    ) -> Result<Self, BmcError> {
-        let ctx = FrameCtx::new(spec, netlist, property, options.solver, tracer)?;
-        Ok(Pdr {
-            spec,
-            property,
-            options,
-            ctx,
-            stats: PdrStats::default(),
-            tracer: tracer.clone(),
-            heartbeat: Heartbeat::every_ms(ipcl_sat::HEARTBEAT_MS),
-        })
-    }
-
-    /// Blocks the bad cube at the top frame, recursively discharging the
-    /// proof obligations it spawns. `window` is the decoded input window of
-    /// the bad-state model (the tail of any counterexample trace).
-    fn block(
-        &mut self,
-        root: Cube,
-        window: Vec<BTreeMap<String, bool>>,
-        cancel: Option<&AtomicBool>,
-    ) -> BlockOutcome {
-        let top = self.ctx.top();
-        let mut arena: Vec<Obligation> = vec![Obligation {
-            cube: root,
-            parent: None,
-            step_inputs: BTreeMap::new(),
-        }];
-        // Min-heap on (frame, arena index): deepest-from-reset obligations
-        // first, FIFO within a frame.
-        let mut queue: BinaryHeap<Reverse<(usize, usize)>> = BinaryHeap::new();
-        queue.push(Reverse((top, 0)));
-        self.note_push(top, queue.len());
-
-        while let Some(Reverse((k, index))) = queue.pop() {
-            if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
-                return BlockOutcome::Cancelled;
-            }
-            self.note_pop(k, queue.len());
-            if k == 0 {
-                // Defensive: obligations at frame 0 are initial states and
-                // are caught at creation time by the initiation check.
-                return BlockOutcome::Counterexample(self.trace(&arena, index, None, &window));
-            }
-            let cube = arena[index].cube.clone();
-            if self.ctx.is_blocked(&cube, k) {
-                // Already excluded from F_k by a stronger clause; keep
-                // pushing the obligation towards the top frame.
-                if k < top {
-                    queue.push(Reverse((k + 1, index)));
-                    self.note_push(k + 1, queue.len());
-                }
-                continue;
-            }
-            match self.ctx.consecution(&cube, k) {
-                SatResult::Unsat => {
-                    let generalized = if self.options.generalize {
-                        self.ctx.generalize(cube, k)
-                    } else {
-                        cube
-                    };
-                    self.ctx.add_frame_clause(generalized, k);
-                    if k < top {
-                        queue.push(Reverse((k + 1, index)));
-                        self.note_push(k + 1, queue.len());
-                    }
-                }
-                SatResult::Sat(model) => {
-                    let predecessor = self.ctx.state_cube(&model);
-                    let step_inputs = self.ctx.enc.decode_frame(self.spec, &model, 0);
-                    if self.ctx.intersects_init(&predecessor) {
-                        // The predecessor is the reset state: the obligation
-                        // chain is a concrete trace.
-                        return BlockOutcome::Counterexample(self.trace(
-                            &arena,
-                            index,
-                            Some(step_inputs),
-                            &window,
-                        ));
-                    }
-                    arena.push(Obligation {
-                        cube: predecessor,
-                        parent: Some(index),
-                        step_inputs,
-                    });
-                    queue.push(Reverse((k - 1, arena.len() - 1)));
-                    queue.push(Reverse((k, index)));
-                    self.note_push(k - 1, queue.len() - 1);
-                    self.note_push(k, queue.len());
-                }
-            }
-        }
-        BlockOutcome::Blocked
-    }
-
-    /// Records an obligation entering the queue at `frame`, with the
-    /// queue length right after the push.
-    fn note_push(&mut self, frame: usize, queue_len: usize) {
-        self.stats.max_queue_depth = self.stats.max_queue_depth.max(queue_len);
-        self.tracer.event(
-            "pdr_obligation",
-            &[
-                ("action", Value::from("push")),
-                ("frame", Value::U64(frame as u64)),
-                ("queue", Value::U64(queue_len as u64)),
-            ],
-        );
-    }
-
-    /// Records an obligation leaving the queue at `frame`, with the queue
-    /// length right after the pop.
-    fn note_pop(&mut self, frame: usize, queue_len: usize) {
-        self.stats.obligations += 1;
-        if frame >= self.stats.obligations_per_frame.len() {
-            self.stats.obligations_per_frame.resize(frame + 1, 0);
-        }
-        self.stats.obligations_per_frame[frame] += 1;
-        self.tracer.event(
-            "pdr_obligation",
-            &[
-                ("action", Value::from("pop")),
-                ("frame", Value::U64(frame as u64)),
-                ("queue", Value::U64(queue_len as u64)),
-            ],
-        );
-        self.emit_heartbeat(frame, queue_len);
-    }
-
-    /// Emits a live-progress `heartbeat` event (rate-limited; see
-    /// [`Heartbeat`]): the current obligation frame, the top frame of the
-    /// trailing sequence, the queue depth, and the obligations/clauses
-    /// totals so far.
-    fn emit_heartbeat(&mut self, frame: usize, queue_len: usize) {
-        if !self.heartbeat.due(&self.tracer) {
-            return;
-        }
-        self.tracer.event(
-            "heartbeat",
-            &[
-                ("engine", Value::from("pdr")),
-                ("frame", Value::U64(frame as u64)),
-                ("top_frame", Value::U64(self.ctx.top() as u64)),
-                ("queue", Value::U64(queue_len as u64)),
-                ("obligations", Value::U64(self.stats.obligations)),
-                ("clauses", Value::U64(self.ctx.clauses as u64)),
-            ],
-        );
-    }
-
-    /// Reconstructs the counterexample trace ending at the obligation
-    /// `index`: `reset_step` (if any) drives the reset state into the
-    /// obligation's state, the parent chain's step inputs walk to the root
-    /// bad state, and `window` is the property window observed there.
-    fn trace(
-        &self,
-        arena: &[Obligation],
-        index: usize,
-        reset_step: Option<BTreeMap<String, bool>>,
-        window: &[BTreeMap<String, bool>],
-    ) -> Counterexample {
-        let mut frames = Vec::new();
-        frames.extend(reset_step);
-        let mut current = index;
-        while let Some(parent) = arena[current].parent {
-            frames.push(arena[current].step_inputs.clone());
-            current = parent;
-        }
-        frames.extend(window.iter().cloned());
-        Counterexample {
-            property: self.property.name.clone(),
-            violation_frame: frames.len() - 1,
-            frames,
-        }
-    }
-
-    /// One clause-propagation pass after opening a new top frame: every
-    /// clause inductive relative to its own frame moves one frame up.
-    /// Returns the fixpoint frame if two adjacent frames became equal.
-    fn propagate(&mut self) -> Option<usize> {
-        let _span = self.tracer.span("pdr.propagate");
-        let top = self.ctx.top();
-        for k in 1..top {
-            let cubes = std::mem::take(&mut self.ctx.frame_cubes[k]);
-            for cube in cubes {
-                // F_k ∧ T ∧ cube' unsatisfiable ⇒ ¬cube also holds at k+1.
-                let mut assumptions = self.ctx.frame_assumptions(k);
-                assumptions.extend(cube.iter().map(|&entry| self.ctx.cube_lit(entry, true)));
-                if self.ctx.solve(&assumptions) == SatResult::Unsat {
-                    self.ctx.add_frame_clause(cube, k + 1);
-                } else {
-                    self.ctx.frame_cubes[k].push(cube);
-                }
-            }
-            if self.ctx.frame_cubes[k].is_empty() {
-                // F_k = F_{k+1}: the trailing sequence closed.
-                return Some(k);
-            }
-        }
-        None
-    }
-
-    fn run(&mut self, cancel: Option<&AtomicBool>) -> PdrOutcome {
-        // Stateless netlist: the single (empty) state is initial, so the
-        // property is equivalent to the one-window combinational query.
-        if self.ctx.regs.is_empty() {
-            let bad = self.ctx.bad;
-            return match self.ctx.solve(&[bad]) {
-                SatResult::Unsat => PdrOutcome::Proved {
-                    certificate: Certificate {
-                        property: self.property.name.clone(),
-                        clauses: Vec::new(),
-                    },
-                    fixpoint_frame: 0,
-                },
-                SatResult::Sat(model) => {
-                    let frames = self.ctx.window(self.spec, self.property, &model);
-                    PdrOutcome::Falsified(Counterexample {
-                        property: self.property.name.clone(),
-                        violation_frame: frames.len() - 1,
-                        frames,
-                    })
-                }
-            };
-        }
-
-        self.ctx.push_frame(); // F_1
-        loop {
-            if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
-                return PdrOutcome::Unknown {
-                    frames_explored: self.ctx.top(),
-                };
-            }
-            // Block every bad state reachable within the current bound.
-            loop {
-                let top = self.ctx.top();
-                let mut assumptions = self.ctx.frame_assumptions(top);
-                assumptions.push(self.ctx.bad);
-                match self.ctx.solve(&assumptions) {
-                    SatResult::Unsat => break,
-                    SatResult::Sat(model) => {
-                        let cube = self.ctx.state_cube(&model);
-                        let window = self.ctx.window(self.spec, self.property, &model);
-                        if self.ctx.intersects_init(&cube) {
-                            // The reset state itself violates the property.
-                            return PdrOutcome::Falsified(Counterexample {
-                                property: self.property.name.clone(),
-                                violation_frame: window.len() - 1,
-                                frames: window,
-                            });
-                        }
-                        match self.block(cube, window, cancel) {
-                            BlockOutcome::Blocked => {}
-                            BlockOutcome::Counterexample(cex) => return PdrOutcome::Falsified(cex),
-                            BlockOutcome::Cancelled => {
-                                return PdrOutcome::Unknown {
-                                    frames_explored: self.ctx.top(),
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            if self.ctx.top() >= self.options.max_frames {
-                return PdrOutcome::Unknown {
-                    frames_explored: self.ctx.top(),
-                };
-            }
-            self.ctx.push_frame();
-            let top = self.ctx.top();
-            self.emit_heartbeat(top, 0);
-            if let Some(fixpoint) = self.propagate() {
-                return PdrOutcome::Proved {
-                    certificate: self.ctx.certificate(&self.property.name, fixpoint),
-                    fixpoint_frame: fixpoint,
-                };
-            }
-        }
-    }
-}
-
 /// Whether every literal of `smaller` occurs in `larger` (both sorted by
 /// register index).
 fn subsumes(smaller: &Cube, larger: &Cube) -> bool {
@@ -855,101 +554,4 @@ fn subsumes(smaller: &Cube, larger: &Cube) -> bool {
     smaller
         .iter()
         .all(|entry| it.by_ref().any(|candidate| candidate == entry))
-}
-
-/// Checks one sequential property on `netlist` against `spec` with IC3/PDR.
-///
-/// See the module docs for the algorithm. A [`PdrOutcome::Proved`] verdict
-/// carries an explicit inductive-invariant [`Certificate`]; with
-/// [`PdrOptions::validate_certificate`] (the default) the certificate has
-/// been re-validated by independent SAT checks and the verdicts are in
-/// [`PdrResult::validation`]. A [`PdrOutcome::Falsified`] trace replays
-/// through [`ipcl_rtl::Simulator`] (callers assert this, as with BMC).
-///
-/// # Errors
-///
-/// As [`ipcl_bmc::check_property`]: [`BmcError::MissingSignals`] if the
-/// property's stage has no `moe` signal in the netlist, [`BmcError::Rtl`]
-/// if the netlist does not elaborate.
-pub fn check_property_pdr(
-    spec: &FunctionalSpec,
-    netlist: &Netlist,
-    property: &SequentialProperty,
-    options: &PdrOptions,
-) -> Result<PdrResult, BmcError> {
-    check_property_pdr_with_cancel(spec, netlist, property, options, None)
-}
-
-/// As [`check_property_pdr`], but polls `cancel` between queries and
-/// returns [`PdrOutcome::Unknown`] as soon as it is set.
-pub fn check_property_pdr_with_cancel(
-    spec: &FunctionalSpec,
-    netlist: &Netlist,
-    property: &SequentialProperty,
-    options: &PdrOptions,
-    cancel: Option<&AtomicBool>,
-) -> Result<PdrResult, BmcError> {
-    check_property_pdr_traced(
-        spec,
-        netlist,
-        property,
-        options,
-        cancel,
-        &Tracer::disabled(),
-    )
-}
-
-/// As [`check_property_pdr_with_cancel`], with an observability handle:
-/// the run executes under a `pdr.check` span (encode under `pdr.encode`,
-/// clause propagation under `pdr.propagate`, cube generalisation under
-/// `pdr.generalize`, certificate re-checking under `pdr.validate`, SAT
-/// queries under the solver's own `sat.solve`), logs one `pdr_obligation`
-/// event per obligation push/pop with its frame and queue depth, and
-/// folds the run's counters into the tracer's metrics.
-pub fn check_property_pdr_traced(
-    spec: &FunctionalSpec,
-    netlist: &Netlist,
-    property: &SequentialProperty,
-    options: &PdrOptions,
-    cancel: Option<&AtomicBool>,
-    tracer: &Tracer,
-) -> Result<PdrResult, BmcError> {
-    let _span = tracer.span("pdr.check");
-    let missing = ipcl_bmc::missing_property_signals(spec, netlist, property);
-    if !missing.is_empty() {
-        return Err(BmcError::MissingSignals(missing));
-    }
-
-    let mut pdr = Pdr::new(spec, netlist, property, *options, tracer)?;
-    let outcome = pdr.run(cancel);
-    let mut stats = pdr.stats.clone();
-    stats.frames = pdr.ctx.top();
-    stats.clauses = pdr.ctx.clauses;
-    stats.solve_calls = pdr.ctx.solve_calls;
-    stats.generalization_drops = pdr.ctx.generalization_drops;
-    stats.conflicts = pdr.ctx.solver.stats().conflicts;
-    stats.propagations = pdr.ctx.solver.stats().propagations;
-    if tracer.is_enabled() {
-        stats.emit(tracer, "pdr");
-        pdr.ctx.solver.stats().emit(tracer, "sat");
-        let u = pdr.ctx.enc.unroller().stats();
-        tracer.counter("unroll.pdr.frames", u.frames);
-        tracer.counter("unroll.pdr.gates", u.gates);
-        tracer.counter("unroll.pdr.cache_hits", u.cache_hits);
-    }
-
-    let validation = match (&outcome, options.validate_certificate) {
-        (PdrOutcome::Proved { certificate, .. }, true) => {
-            let _validate = tracer.span("pdr.validate");
-            Some(certificate.validate(spec, netlist, property)?)
-        }
-        _ => None,
-    };
-
-    Ok(PdrResult {
-        property: property.clone(),
-        outcome,
-        validation,
-        stats,
-    })
 }

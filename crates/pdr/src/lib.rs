@@ -13,18 +13,25 @@
 //!   sequence of frames over the incremental CDCL solver of `ipcl-sat`
 //!   (per-frame activation literals, proof-obligation queue, SAT-based cube
 //!   generalisation, clause propagation with fixpoint detection);
+//! * there is one PDR search loop, the round scheduler of [`parallel`]:
+//!   [`check_property_pdr`] runs it on one worker with singleton rounds
+//!   (the sequential IC3 loop), and [`check_property_pdr_traced`] takes
+//!   [`ParallelPdrOptions`] to batch rounds across worker threads with
+//!   results bit-identical at every worker count;
 //! * every proof ships an explicit [`Certificate`] — the inductive
 //!   invariant as clauses over the netlist's registers — which
 //!   [`Certificate::validate`] re-checks with independent initiation,
 //!   consecution and safety SAT queries, so a "proved" verdict is
 //!   self-auditing rather than trusted;
-//! * [`check_property_portfolio`] races BMC falsification against PDR proof
-//!   on scoped threads with cooperative cancellation: buggy designs get
-//!   BMC-speed (minimal) counterexamples, correct designs get unbounded
-//!   proofs, whichever engine finishes first.
+//! * [`check_property_portfolio`] races BMC falsification against PDR
+//!   proof on scoped threads with cooperative cancellation: buggy designs
+//!   get BMC-speed (minimal) counterexamples, correct designs get
+//!   unbounded proofs, whichever engine finishes first.
 //!
-//! The user-facing entry point is `ipcl_checker::check_netlist_sequential`
-//! with `Engine::Pdr` or `Engine::Portfolio`.
+//! Each engine has one plain and one `_traced(…, cancel, tracer)` entry
+//! point. The user-facing entry point is
+//! `ipcl_checker::check_netlist_sequential` with `Engine::Pdr` or
+//! `Engine::Portfolio`.
 //!
 //! # Example
 //!
@@ -55,19 +62,12 @@ pub mod parallel;
 pub mod portfolio;
 
 pub use certificate::{Certificate, CertificateCheck, StateLiteral};
-pub use engine::{
-    check_property_pdr, check_property_pdr_traced, check_property_pdr_with_cancel, PdrOptions,
-    PdrOutcome, PdrResult, PdrStats,
-};
+pub use engine::{PdrOptions, PdrOutcome, PdrResult, PdrStats};
 pub use parallel::{
-    check_property_pdr_parallel, check_property_pdr_parallel_traced, default_threads,
-    ParallelPdrOptions,
+    check_property_pdr, check_property_pdr_traced, default_threads, ParallelPdrOptions,
 };
 pub use portfolio::{
-    check_property_portfolio, check_property_portfolio_parallel,
-    check_property_portfolio_parallel_traced, check_property_portfolio_parallel_with_cancel,
-    check_property_portfolio_traced, check_property_portfolio_with_cancel, PortfolioResult,
-    PortfolioWinner,
+    check_property_portfolio, check_property_portfolio_traced, PortfolioResult, PortfolioWinner,
 };
 
 // Re-exported so callers can name the shared vocabulary without a direct
@@ -232,21 +232,32 @@ mod tests {
             PropertyKind::Performance,
             Latency::Combinational,
         );
-        let with = check_property_pdr(&spec, &netlist, &property, &PdrOptions::default()).unwrap();
-        let without = check_property_pdr(
-            &spec,
-            &netlist,
-            &property,
-            &PdrOptions {
-                generalize: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(with.outcome.is_proved());
-        assert!(without.outcome.is_proved());
-        assert!(with.stats.generalization_drops > 0);
-        assert_eq!(without.stats.generalization_drops, 0);
+        // One worker (singleton rounds on the canonical context) and two
+        // (batched rounds, merge-time re-generalisation): both must honour
+        // the flag and count the canonical context's drops.
+        for threads in [1, 2] {
+            let run = |generalize| {
+                let base = PdrOptions {
+                    generalize,
+                    ..Default::default()
+                };
+                check_property_pdr_traced(
+                    &spec,
+                    &netlist,
+                    &property,
+                    &ParallelPdrOptions::for_threads(base, threads),
+                    None,
+                    &ipcl_trace::Tracer::disabled(),
+                )
+                .unwrap()
+            };
+            let with = run(true);
+            let without = run(false);
+            assert!(with.outcome.is_proved(), "{threads} workers");
+            assert!(without.outcome.is_proved(), "{threads} workers");
+            assert!(with.stats.generalization_drops > 0, "{threads} workers");
+            assert_eq!(without.stats.generalization_drops, 0, "{threads} workers");
+        }
     }
 
     #[test]

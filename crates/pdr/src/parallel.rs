@@ -1,6 +1,14 @@
-//! The parallel proof engine: a work-stealing scheduler over PDR proof
-//! obligations, with a lock-free learned-clause exchange and
+//! The PDR engine: a round scheduler over proof obligations — work-stealing
+//! across workers, with a lock-free learned-clause exchange and
 //! cube-and-conquer bad-state queries — deterministic by construction.
+//!
+//! Every PDR run goes through it. [`check_property_pdr`] runs one worker
+//! with [`ParallelPdrOptions::batch`] `= 1`: every round is a singleton
+//! solved inline on the canonical context, which is the classic sequential
+//! IC3 loop — one obligation at a time, deepest-from-reset first — and no
+//! thread, sibling encoding, lemma log or exchange ring is ever built.
+//! [`ParallelPdrOptions::for_threads`] is the one place that picks the
+//! batch from the worker count.
 //!
 //! ## Why the verdicts stay bit-identical
 //!
@@ -10,7 +18,7 @@
 //! this split:
 //!
 //! * **Workers answer only bits.** Each worker owns a private
-//!   [`FrameCtx`] (same deterministic base encoding as the master's, own
+//!   `FrameCtx` (same deterministic base encoding as the master's, own
 //!   frame activation literals) and answers consecution queries plus full
 //!   cube generalisation — which consumes only UNSAT bits — against a
 //!   per-round snapshot of the committed lemma log. Worker models are
@@ -26,10 +34,9 @@
 //!   merge in batch order. A split bad query reduces by fixed order (any
 //!   satisfiable branch ⇒ one canonical full re-solve for the model).
 //!   Singleton batches and clause propagation run inline on the canonical
-//!   context, reproducing the sequential engine's query sequence exactly.
-//!   All scheduling knobs ([`ParallelPdrOptions::batch`],
-//!   [`ParallelPdrOptions::split_registers`]) are independent of the
-//!   worker count.
+//!   context, in the sequential IC3 query order. All scheduling knobs
+//!   ([`ParallelPdrOptions::batch`], [`ParallelPdrOptions::split_registers`])
+//!   are independent of the worker count.
 //!
 //! Consequently the round trajectory — and with it verdicts, traces,
 //! certificates and all canonical statistics — is identical for every
@@ -64,7 +71,7 @@
 //! The learned-clause exchange is a bounded append-only ring of
 //! [`OnceLock`] slots: publishing reserves a slot with one atomic
 //! fetch-add, readers walk contiguously initialised slots. Only clauses
-//! whose variables all lie below [`FrameCtx::base_bound`] are published —
+//! whose variables all lie below `FrameCtx::base_bound` are published —
 //! those are implied by the shared base encoding alone (frame activation
 //! literals are never resolvable away), hence sound in every sibling.
 
@@ -82,6 +89,9 @@ use ipcl_trace::{Heartbeat, MetricSink, Tracer, Value};
 use crate::certificate::Certificate;
 use crate::engine::{Cube, FrameCtx, FrameLemma, PdrOptions, PdrOutcome, PdrResult, PdrStats};
 
+/// [`ParallelPdrOptions::batch`] at two or more workers (and by default).
+const DEFAULT_BATCH: usize = 16;
+
 /// Publisher id of the master's canonical solver on the exchange (workers
 /// import their own published clauses back otherwise).
 const MASTER: usize = usize::MAX;
@@ -90,7 +100,7 @@ const MASTER: usize = usize::MAX;
 /// dropped (sharing is an accelerator, not a correctness mechanism).
 const EXCHANGE_CAPACITY: usize = 4096;
 
-/// Knobs of one parallel PDR run.
+/// Knobs of one PDR run: the [`PdrOptions`] plus the scheduler's.
 #[derive(Clone, Copy, Debug)]
 pub struct ParallelPdrOptions {
     /// The underlying PDR options (solver config, generalisation,
@@ -99,10 +109,11 @@ pub struct ParallelPdrOptions {
     /// Worker count `W ≥ 1`. Worker 0 is the master thread; `W − 1`
     /// additional scoped threads are spawned. `1` runs the identical round
     /// algorithm with every task solved inline — same verdicts, traces and
-    /// certificates as any other worker count.
+    /// certificates as any other worker count at the same `batch`.
     pub threads: usize,
-    /// Maximum proof obligations dispatched per round. Fixed independently
-    /// of `threads` so the round trajectory is too.
+    /// Maximum proof obligations dispatched per round. The trajectory
+    /// depends on it but not on `threads`: `1` is the sequential IC3 loop,
+    /// larger batches discharge same-frame siblings together.
     pub batch: usize,
     /// Cube-and-conquer split width of top-frame bad-state queries: the
     /// query splits into `2^split_registers` variable-split branch cubes
@@ -120,12 +131,39 @@ pub struct ParallelPdrOptions {
 impl Default for ParallelPdrOptions {
     fn default() -> Self {
         ParallelPdrOptions {
-            base: PdrOptions::default(),
-            threads: default_threads(),
-            batch: 16,
+            batch: DEFAULT_BATCH,
+            ..ParallelPdrOptions::for_threads(PdrOptions::default(), default_threads())
+        }
+    }
+}
+
+impl ParallelPdrOptions {
+    /// The options of a `threads`-worker run over `base`, and the one rule
+    /// mapping a worker count to a batch: one worker (`threads ≤ 1`) runs
+    /// `batch: 1`, the sequential IC3 trajectory; two or more run the
+    /// default batch of 16. The other knobs take their defaults: no split,
+    /// exchange LBD bound 4. Unlike [`ParallelPdrOptions::default`], this
+    /// never queries the host.
+    pub fn for_threads(base: PdrOptions, threads: usize) -> ParallelPdrOptions {
+        let threads = threads.max(1);
+        ParallelPdrOptions {
+            base,
+            threads,
+            batch: if threads >= 2 { DEFAULT_BATCH } else { 1 },
             split_registers: 0,
             share_max_lbd: 4,
         }
+    }
+
+    /// Whether a round can ever be dispatched to a worker context: more
+    /// than one worker, or a round of more than one task.
+    fn dispatches(&self) -> bool {
+        self.threads > 1 || self.batch > 1 || self.split_registers > 0
+    }
+
+    /// Whether the learned-clause exchange is live.
+    fn shares(&self) -> bool {
+        self.threads > 1 && self.share_max_lbd > 0
     }
 }
 
@@ -301,8 +339,12 @@ struct Shared<'a> {
     start: Barrier,
     end: Barrier,
     round: Mutex<Option<Arc<Round>>>,
-    view: FrameView,
-    exchange: ExchangeBuffer,
+    /// The committed lemma log, kept only when a worker context can exist
+    /// to replay it ([`ParallelPdrOptions::dispatches`]).
+    view: Option<FrameView>,
+    /// The clause exchange, allocated only when sharing is live
+    /// ([`ParallelPdrOptions::shares`]).
+    exchange: Option<ExchangeBuffer>,
     tallies: Mutex<Vec<WorkerTally>>,
 }
 
@@ -365,11 +407,11 @@ impl WorkerState {
             shared.spec,
             shared.netlist,
             shared.property,
-            shared.options.base.solver,
+            &shared.options.base,
             &shared.tracer,
         )
         .expect("sibling encoding mirrors the master's, which elaborated");
-        if shared.options.threads > 1 && shared.options.share_max_lbd > 0 {
+        if shared.exchange.is_some() {
             ctx.solver.set_clause_sharing(shared.options.share_max_lbd);
         }
         WorkerState {
@@ -389,7 +431,11 @@ impl WorkerState {
         let _span = shared.tracer.span_fast(worker_span(self.w));
         // Replay the committed lemma suffix: after this the private frame
         // state equals the canonical one at round start.
-        let fresh = shared.view.since(self.log_cursor);
+        let view = shared
+            .view
+            .as_ref()
+            .expect("rounds dispatch only with a log");
+        let fresh = view.since(self.log_cursor);
         self.log_cursor += fresh.len();
         for lemma in &fresh {
             self.ctx.apply_lemma(lemma);
@@ -398,8 +444,8 @@ impl WorkerState {
             self.ctx.push_frame();
         }
         // Clause exchange: import siblings' publications, publish own.
-        if shared.options.threads > 1 && shared.options.share_max_lbd > 0 {
-            for clause in shared.exchange.drain_from(&mut self.exchange_cursor) {
+        if let Some(exchange) = &shared.exchange {
+            for clause in exchange.drain_from(&mut self.exchange_cursor) {
                 if clause.from != self.w {
                     self.ctx
                         .solver
@@ -409,7 +455,7 @@ impl WorkerState {
             let base_bound = self.ctx.base_bound;
             for (literals, lbd) in self.ctx.solver.take_shared() {
                 if literals.iter().all(|lit| lit.var() < base_bound) {
-                    shared.exchange.publish(ExchangeClause {
+                    exchange.publish(ExchangeClause {
                         from: self.w,
                         literals,
                         lbd,
@@ -418,7 +464,7 @@ impl WorkerState {
             }
         }
         while let Some(slot) = next_task(round, self.w, &mut self.rng) {
-            let verdict = self.solve_task(&round.tasks[slot], &shared.options);
+            let verdict = self.solve_task(&round.tasks[slot]);
             self.solved += 1;
             round.results[slot]
                 .set(verdict)
@@ -427,19 +473,12 @@ impl WorkerState {
         }
     }
 
-    fn solve_task(&mut self, task: &Task, options: &ParallelPdrOptions) -> TaskVerdict {
+    fn solve_task(&mut self, task: &Task) -> TaskVerdict {
         match task {
             Task::Obligation { frame, cube } => match self.ctx.consecution(cube, *frame) {
-                SatResult::Unsat => {
-                    let blocked = if options.base.generalize {
-                        self.ctx.generalize(cube.clone(), *frame)
-                    } else {
-                        cube.clone()
-                    };
-                    TaskVerdict::Obligation {
-                        blocked: Some(blocked),
-                    }
-                }
+                SatResult::Unsat => TaskVerdict::Obligation {
+                    blocked: Some(self.ctx.generalize(cube.clone(), *frame)),
+                },
                 SatResult::Sat(_) => TaskVerdict::Obligation { blocked: None },
             },
             Task::BadBranch { frame, cube } => {
@@ -515,11 +554,17 @@ fn worker_thread(shared: &Shared<'_>, w: usize) {
 
 // ---- master -------------------------------------------------------------
 
+/// One entry of the proof-obligation arena. The parent chain reconstructs
+/// counterexample traces: `step_inputs` is the input valuation driving this
+/// obligation's state into its parent's state in one cycle.
 struct Obligation {
     cube: Cube,
     parent: Option<usize>,
     step_inputs: BTreeMap<String, bool>,
 }
+
+/// Min-heap of (frame, arena index) obligation entries.
+type ObligationQueue = BinaryHeap<Reverse<(usize, usize)>>;
 
 enum BlockOutcome {
     Blocked,
@@ -527,20 +572,23 @@ enum BlockOutcome {
     Cancelled,
 }
 
-struct ParallelPdr<'a, 'b> {
+/// The master half of a run: the canonical context, the round loop and
+/// the merge.
+struct Scheduler<'a, 'b> {
     shared: &'a Shared<'b>,
     /// The canonical context: every model-producing query runs here, in an
     /// order that is a pure function of the round trajectory. Never
     /// imports foreign clauses.
     canon: FrameCtx,
     /// The master's worker half (worker 0) — participates in every round's
-    /// task solving alongside the spawned workers.
-    w0: WorkerState,
+    /// task solving alongside the spawned workers. Built on the first
+    /// dispatched round: a run of singleton rounds never needs it.
+    w0: Option<WorkerState>,
     stats: PdrStats,
     heartbeat: Heartbeat,
 }
 
-impl<'a, 'b> ParallelPdr<'a, 'b> {
+impl<'a, 'b> Scheduler<'a, 'b> {
     /// Publishes a round, participates as worker 0, and returns it with
     /// all results filled in.
     fn dispatch(&mut self, tasks: Vec<Task>) -> Arc<Round> {
@@ -548,11 +596,12 @@ impl<'a, 'b> ParallelPdr<'a, 'b> {
         // on the canonical trajectory and are prime sharing candidates.
         // (Draining is deterministic bookkeeping; it cannot perturb the
         // canonical search.)
-        if self.shared.options.threads > 1 && self.shared.options.share_max_lbd > 0 {
+        let shared = self.shared;
+        if let Some(exchange) = &shared.exchange {
             let base_bound = self.canon.base_bound;
             for (literals, lbd) in self.canon.solver.take_shared() {
                 if literals.iter().all(|lit| lit.var() < base_bound) {
-                    self.shared.exchange.publish(ExchangeClause {
+                    exchange.publish(ExchangeClause {
                         from: MASTER,
                         literals,
                         lbd,
@@ -560,7 +609,7 @@ impl<'a, 'b> ParallelPdr<'a, 'b> {
                 }
             }
         }
-        let workers = self.shared.options.threads;
+        let workers = shared.options.threads;
         let mut deques: Vec<Mutex<VecDeque<usize>>> =
             (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
         for slot in 0..tasks.len() {
@@ -577,23 +626,26 @@ impl<'a, 'b> ParallelPdr<'a, 'b> {
             deques,
             results,
         });
-        *self.shared.round.lock().expect("round slot lock") = Some(Arc::clone(&round));
-        self.shared.start.wait();
-        self.w0.run_round(self.shared, &round);
-        self.shared.end.wait();
+        let w0 = self.w0.get_or_insert_with(|| WorkerState::new(shared, 0));
+        *shared.round.lock().expect("round slot lock") = Some(Arc::clone(&round));
+        shared.start.wait();
+        w0.run_round(shared, &round);
+        shared.end.wait();
         round
     }
 
-    /// Commits one lemma: canonical frame state, then the shared log (the
-    /// workers replay it at their next round start).
+    /// Commits one lemma: the shared log (the workers replay it at their
+    /// next round start), then the canonical frame state. A promoted cube
+    /// must already be out of its old frame's list.
     fn commit(&mut self, cube: Cube, frame: usize, promoted_from: Option<usize>) {
-        let lemma = FrameLemma {
-            frame,
-            cube,
-            promoted_from,
-        };
-        self.canon.apply_lemma(&lemma);
-        self.shared.view.commit(lemma);
+        if let Some(view) = &self.shared.view {
+            view.commit(FrameLemma {
+                frame,
+                cube: cube.clone(),
+                promoted_from,
+            });
+        }
+        self.canon.add_frame_clause(cube, frame);
     }
 
     /// The top-frame bad-state query, cube-and-conquer style: split into
@@ -632,9 +684,9 @@ impl<'a, 'b> ParallelPdr<'a, 'b> {
         }
         // The branch cubes partition the state space, so the full query is
         // satisfiable iff some branch is. Re-solve it *unguided* on the
-        // canonical context: the model then comes from the same query the
-        // sequential engine poses, keeping the root-cube trajectory (and
-        // so lemma quality) on par with sequential search.
+        // canonical context: the model then comes from the same query an
+        // unsplit run poses, keeping the root-cube trajectory (and so lemma
+        // quality) on par with it.
         let mut assumptions = self.canon.frame_assumptions(top);
         assumptions.push(self.canon.bad);
         let result = self.canon.solve(&assumptions);
@@ -692,6 +744,10 @@ impl<'a, 'b> ParallelPdr<'a, 'b> {
         );
     }
 
+    /// Reconstructs the counterexample trace ending at the obligation
+    /// `index`: `reset_step` (if any) drives the reset state into the
+    /// obligation's state, the parent chain's step inputs walk to the root
+    /// bad state, and `window` is the property window observed there.
     fn trace(
         &self,
         arena: &[Obligation],
@@ -714,9 +770,12 @@ impl<'a, 'b> ParallelPdr<'a, 'b> {
         }
     }
 
-    /// Blocks the bad cube at the top frame by batched obligation rounds.
-    /// Mirrors the sequential `block` loop, but discharges up to
-    /// [`ParallelPdrOptions::batch`] heap-ordered obligations per round.
+    /// Blocks the bad cube at the top frame, recursively discharging the
+    /// proof obligations it spawns, up to [`ParallelPdrOptions::batch`]
+    /// heap-ordered obligations per round (min-heap on (frame, arena
+    /// index): deepest-from-reset first, FIFO within a frame). `window` is
+    /// the decoded input window of the bad-state model (the tail of any
+    /// counterexample trace).
     fn block(
         &mut self,
         root: Cube,
@@ -729,10 +788,10 @@ impl<'a, 'b> ParallelPdr<'a, 'b> {
             parent: None,
             step_inputs: BTreeMap::new(),
         }];
-        let mut queue: BinaryHeap<Reverse<(usize, usize)>> = BinaryHeap::new();
-        queue.push(Reverse((top, 0)));
-        self.note_push(top, queue.len());
+        let mut queue = ObligationQueue::new();
+        self.enqueue(&mut queue, top, 0);
 
+        let mut batch: Vec<(usize, usize)> = Vec::new();
         while !queue.is_empty() {
             if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
                 return BlockOutcome::Cancelled;
@@ -742,8 +801,7 @@ impl<'a, 'b> ParallelPdr<'a, 'b> {
             // with its own (deeper) predecessor chain would re-attack every
             // ancestor each round, inflating the trajectory quadratically.
             // Same-frame siblings are the genuinely independent work.
-            let mut batch: Vec<(usize, usize)> = Vec::new();
-            let mut tasks: Vec<Task> = Vec::new();
+            batch.clear();
             while batch.len() < self.shared.options.batch.max(1) {
                 if let (Some(&(frame, _)), Some(&Reverse((k, _)))) = (batch.first(), queue.peek()) {
                     if k != frame {
@@ -759,32 +817,46 @@ impl<'a, 'b> ParallelPdr<'a, 'b> {
                     // are caught at creation time by the initiation check.
                     return BlockOutcome::Counterexample(self.trace(&arena, index, None, &window));
                 }
-                let cube = arena[index].cube.clone();
-                if self.canon.is_blocked(&cube, k) {
-                    if k < top {
-                        queue.push(Reverse((k + 1, index)));
-                        self.note_push(k + 1, queue.len());
-                    }
+                if self.canon.is_blocked(&arena[index].cube, k) {
+                    // Already excluded from F_k by a stronger clause.
+                    self.advance(&mut queue, k, index, top);
                     continue;
                 }
                 batch.push((k, index));
-                tasks.push(Task::Obligation { frame: k, cube });
             }
             if batch.is_empty() {
                 continue;
             }
             // A single-obligation round has no parallelism to harvest:
             // solve it inline on the canonical context (bits AND model in
-            // one query, generalisation included) — exactly the sequential
-            // engine's step. Whether a round is singleton is a trajectory
-            // property, identical at every worker count.
-            if batch.len() == 1 {
-                let (k, index) = batch[0];
-                match self.block_one_canonical(&mut arena, &mut queue, k, index, top, &window) {
+            // one query, generalisation included) — the sequential IC3
+            // step. Whether a round is singleton is a trajectory property,
+            // identical at every worker count.
+            if let [(k, index)] = batch[..] {
+                let cube = arena[index].cube.clone();
+                let outcome = match self.canon.consecution(&cube, k) {
+                    SatResult::Unsat => {
+                        let generalized = self.canon.generalize(cube, k);
+                        self.commit(generalized, k, None);
+                        self.advance(&mut queue, k, index, top);
+                        None
+                    }
+                    SatResult::Sat(model) => {
+                        self.extend_chain(&mut arena, &mut queue, k, index, &model, &window)
+                    }
+                };
+                match outcome {
                     None => continue,
                     Some(outcome) => return outcome,
                 }
             }
+            let tasks = batch
+                .iter()
+                .map(|&(k, index)| Task::Obligation {
+                    frame: k,
+                    cube: arena[index].cube.clone(),
+                })
+                .collect();
             let round = self.dispatch(tasks);
 
             // Merge in batch (canonical) order. `max_committed` tracks the
@@ -797,14 +869,11 @@ impl<'a, 'b> ParallelPdr<'a, 'b> {
                     .get()
                     .expect("every dispatched task is solved before the end barrier");
                 // An earlier slot's commit this round may already block this
-                // cube — exactly the case the sequential loop prunes with
-                // its pre-solve `is_blocked` check. Mirror it at merge time
-                // so speculative siblings don't pile up redundant lemmas.
+                // cube — exactly the case a singleton round prunes with its
+                // pre-solve `is_blocked` check. Mirror it at merge time so
+                // speculative siblings don't pile up redundant lemmas.
                 if self.canon.is_blocked(&arena[index].cube, k) {
-                    if k < top {
-                        queue.push(Reverse((k + 1, index)));
-                        self.note_push(k + 1, queue.len());
-                    }
+                    self.advance(&mut queue, k, index, top);
                     continue;
                 }
                 match verdict {
@@ -816,22 +885,18 @@ impl<'a, 'b> ParallelPdr<'a, 'b> {
                         // the drop loop on the (already short) lemma
                         // against the freshest canonical state — earlier
                         // slots' commits often let further literals go,
-                        // recovering sequential lemma quality.
+                        // recovering singleton-round lemma quality.
                         let generalized = self.canon.generalize(generalized.clone(), k);
                         self.commit(generalized, k, None);
                         max_committed = Some(max_committed.unwrap_or(0).max(k));
-                        if k < top {
-                            queue.push(Reverse((k + 1, index)));
-                            self.note_push(k + 1, queue.len());
-                        }
+                        self.advance(&mut queue, k, index, top);
                     }
                     TaskVerdict::Obligation { blocked: None } => {
                         if max_committed.is_some_and(|frame| frame + 1 >= k) {
                             // Deferred: the snapshot this SAT was computed
                             // against has been strengthened at ≥ k − 1;
                             // requeue and re-dispatch next round.
-                            queue.push(Reverse((k, index)));
-                            self.note_push(k, queue.len());
+                            self.enqueue(&mut queue, k, index);
                             continue;
                         }
                         // Still valid: re-solve canonically for the
@@ -840,34 +905,18 @@ impl<'a, 'b> ParallelPdr<'a, 'b> {
                         let cube = arena[index].cube.clone();
                         match self.canon.consecution(&cube, k) {
                             SatResult::Sat(model) => {
-                                let predecessor = self.canon.state_cube(&model);
-                                let step_inputs =
-                                    self.canon.enc.decode_frame(self.shared.spec, &model, 0);
-                                if self.canon.intersects_init(&predecessor) {
-                                    return BlockOutcome::Counterexample(self.trace(
-                                        &arena,
-                                        index,
-                                        Some(step_inputs),
-                                        &window,
-                                    ));
+                                if let Some(outcome) = self
+                                    .extend_chain(&mut arena, &mut queue, k, index, &model, &window)
+                                {
+                                    return outcome;
                                 }
-                                arena.push(Obligation {
-                                    cube: predecessor,
-                                    parent: Some(index),
-                                    step_inputs,
-                                });
-                                queue.push(Reverse((k - 1, arena.len() - 1)));
-                                queue.push(Reverse((k, index)));
-                                self.note_push(k - 1, queue.len() - 1);
-                                self.note_push(k, queue.len());
                             }
                             SatResult::Unsat => {
                                 // Semantically impossible (no strengthening
                                 // at ≥ k − 1 intervened); requeue rather
                                 // than trust a diverged verdict.
                                 debug_assert!(false, "worker SAT contradicted canonically");
-                                queue.push(Reverse((k, index)));
-                                self.note_push(k, queue.len());
+                                self.enqueue(&mut queue, k, index);
                             }
                         }
                     }
@@ -878,58 +927,58 @@ impl<'a, 'b> ParallelPdr<'a, 'b> {
         BlockOutcome::Blocked
     }
 
-    /// Discharges a singleton obligation round inline on the canonical
-    /// context — the sequential engine's step, verbatim: one consecution
-    /// query yields bits and model together, and generalisation runs
-    /// against the freshest frame state. Returns `Some` to unwind with a
-    /// terminal outcome, `None` to continue the round loop.
-    fn block_one_canonical(
-        &mut self,
-        arena: &mut Vec<Obligation>,
-        queue: &mut BinaryHeap<Reverse<(usize, usize)>>,
-        k: usize,
-        index: usize,
-        top: usize,
-        window: &[BTreeMap<String, bool>],
-    ) -> Option<BlockOutcome> {
-        let cube = arena[index].cube.clone();
-        match self.canon.consecution(&cube, k) {
-            SatResult::Unsat => {
-                let generalized = self.canon.generalize(cube, k);
-                self.commit(generalized, k, None);
-                if k < top {
-                    queue.push(Reverse((k + 1, index)));
-                    self.note_push(k + 1, queue.len());
-                }
-                None
-            }
-            SatResult::Sat(model) => {
-                let predecessor = self.canon.state_cube(&model);
-                let step_inputs = self.canon.enc.decode_frame(self.shared.spec, &model, 0);
-                if self.canon.intersects_init(&predecessor) {
-                    return Some(BlockOutcome::Counterexample(self.trace(
-                        arena,
-                        index,
-                        Some(step_inputs),
-                        window,
-                    )));
-                }
-                arena.push(Obligation {
-                    cube: predecessor,
-                    parent: Some(index),
-                    step_inputs,
-                });
-                queue.push(Reverse((k - 1, arena.len() - 1)));
-                queue.push(Reverse((k, index)));
-                self.note_push(k - 1, queue.len() - 1);
-                self.note_push(k, queue.len());
-                None
-            }
+    /// Queues obligation `index` at `frame`.
+    fn enqueue(&mut self, queue: &mut ObligationQueue, frame: usize, index: usize) {
+        queue.push(Reverse((frame, index)));
+        self.note_push(frame, queue.len());
+    }
+
+    /// Moves obligation `index`, excluded from frame `k`, one frame up
+    /// towards the top (at the top frame it is discharged).
+    fn advance(&mut self, queue: &mut ObligationQueue, k: usize, index: usize, top: usize) {
+        if k < top {
+            self.enqueue(queue, k + 1, index);
         }
     }
 
-    /// One clause-propagation pass, run entirely on the canonical context
-    /// in the sequential engine's query order. Propagation is deliberately
+    /// Handles the canonical model of a satisfiable consecution query of
+    /// obligation `index` at frame `k`: a predecessor in the reset state
+    /// completes a counterexample (returned to unwind with); any other
+    /// becomes a new obligation at `k − 1`, and `index` is requeued at `k`.
+    fn extend_chain(
+        &mut self,
+        arena: &mut Vec<Obligation>,
+        queue: &mut ObligationQueue,
+        k: usize,
+        index: usize,
+        model: &[bool],
+        window: &[BTreeMap<String, bool>],
+    ) -> Option<BlockOutcome> {
+        let predecessor = self.canon.state_cube(model);
+        let step_inputs = self.canon.enc.decode_frame(self.shared.spec, model, 0);
+        if self.canon.intersects_init(&predecessor) {
+            return Some(BlockOutcome::Counterexample(self.trace(
+                arena,
+                index,
+                Some(step_inputs),
+                window,
+            )));
+        }
+        arena.push(Obligation {
+            cube: predecessor,
+            parent: Some(index),
+            step_inputs,
+        });
+        self.enqueue(queue, k - 1, arena.len() - 1);
+        self.enqueue(queue, k, index);
+        None
+    }
+
+    /// One clause-propagation pass after opening a new top frame: every
+    /// clause inductive relative to its own frame moves one frame up.
+    /// Returns the fixpoint frame if two adjacent frames became equal.
+    ///
+    /// Runs entirely on the canonical context. Propagation is deliberately
     /// *not* dispatched to workers: the promotion bits themselves are
     /// semantic, but the clauses the canonical solver learns from these
     /// queries keep its later *models* on the sequential trajectory —
@@ -940,13 +989,15 @@ impl<'a, 'b> ParallelPdr<'a, 'b> {
         let _span = self.shared.tracer.span("pdr.propagate");
         let top = self.canon.top();
         for k in 1..top {
-            let cubes: Vec<Cube> = self.canon.frame_cubes[k].clone();
+            let cubes = std::mem::take(&mut self.canon.frame_cubes[k]);
             for cube in cubes {
                 // F_k ∧ T ∧ cube' unsatisfiable ⇒ ¬cube also holds at k+1.
                 let mut assumptions = self.canon.frame_assumptions(k);
                 assumptions.extend(cube.iter().map(|&entry| self.canon.cube_lit(entry, true)));
                 if self.canon.solve(&assumptions) == SatResult::Unsat {
                     self.commit(cube, k + 1, Some(k));
+                } else {
+                    self.canon.frame_cubes[k].push(cube);
                 }
             }
             if self.canon.frame_cubes[k].is_empty() {
@@ -1035,36 +1086,63 @@ impl<'a, 'b> ParallelPdr<'a, 'b> {
 
 // ---- entry points -------------------------------------------------------
 
-/// Checks one sequential property with the parallel PDR engine.
+/// Checks one sequential property on `netlist` against `spec` with IC3/PDR,
+/// on one worker with singleton rounds
+/// ([`ParallelPdrOptions::for_threads`]`(*options, 1)`).
 ///
-/// See the module docs for the scheduler and its determinism guarantee:
-/// verdicts, counterexample traces and certificates are bit-identical for
-/// every [`ParallelPdrOptions::threads`] value and every run. With
-/// `threads == 1` the identical round algorithm executes inline on the
-/// calling thread (no spawns).
+/// See the [`crate::engine`] docs for the algorithm. A
+/// [`PdrOutcome::Proved`] verdict carries an explicit inductive-invariant
+/// [`Certificate`]; with [`PdrOptions::validate_certificate`] (the default)
+/// the certificate has been re-validated by independent SAT checks and the
+/// verdicts are in [`PdrResult::validation`]. A [`PdrOutcome::Falsified`]
+/// trace replays through `ipcl_rtl::Simulator` (callers assert this, as
+/// with BMC).
 ///
 /// # Errors
 ///
-/// As [`crate::check_property_pdr`].
-pub fn check_property_pdr_parallel(
+/// As [`ipcl_bmc::check_property`]: [`BmcError::MissingSignals`] if the
+/// property's stage has no `moe` signal in the netlist, [`BmcError::Rtl`]
+/// if the netlist does not elaborate.
+pub fn check_property_pdr(
     spec: &FunctionalSpec,
     netlist: &Netlist,
     property: &SequentialProperty,
-    options: &ParallelPdrOptions,
+    options: &PdrOptions,
 ) -> Result<PdrResult, BmcError> {
-    check_property_pdr_parallel_traced(spec, netlist, property, options, None, &Tracer::disabled())
+    check_property_pdr_traced(
+        spec,
+        netlist,
+        property,
+        &ParallelPdrOptions::for_threads(*options, 1),
+        None,
+        &Tracer::disabled(),
+    )
 }
 
-/// As [`check_property_pdr_parallel`], with cooperative cancellation and
-/// an observability handle: the master tags its scheduler events with
-/// `worker = 0`, each worker thread tags everything it records (obligation
-/// solving, solver restarts, heartbeats) with its own worker id, and
-/// per-worker solve time lands under `pdr.w<N>` profile spans.
+/// As [`check_property_pdr`], with the scheduler's knobs, cooperative
+/// cancellation and an observability handle.
+///
+/// Verdicts, counterexample traces and certificates are bit-identical for
+/// every [`ParallelPdrOptions::threads`] value and every run at a given
+/// [`ParallelPdrOptions::batch`] (see the module docs). With
+/// `threads == 1` the round algorithm executes inline on the calling
+/// thread (no spawns). `cancel` is polled between rounds; once it is set
+/// the run returns [`PdrOutcome::Unknown`].
+///
+/// The run executes under a `pdr.check` span (encode under `pdr.encode`,
+/// clause propagation under `pdr.propagate`, cube generalisation under
+/// `pdr.generalize`, certificate re-checking under `pdr.validate`, SAT
+/// queries under the solver's own `sat.solve`), logs one `pdr_obligation`
+/// event per obligation push/pop with its frame and queue depth, and folds
+/// the run's counters into the tracer's metrics. With two or more workers
+/// the master tags its events with `worker = 0`, each worker thread tags
+/// everything it records with its own worker id, and per-worker solve time
+/// lands under `pdr.w<N>` profile spans.
 ///
 /// # Errors
 ///
-/// As [`check_property_pdr_parallel`].
-pub fn check_property_pdr_parallel_traced(
+/// As [`check_property_pdr`].
+pub fn check_property_pdr_traced(
     spec: &FunctionalSpec,
     netlist: &Netlist,
     property: &SequentialProperty,
@@ -1084,8 +1162,8 @@ pub fn check_property_pdr_parallel_traced(
 
     // The one fallible construction, before any thread exists: the
     // workers' sibling contexts mirror it.
-    let mut canon = FrameCtx::new(spec, netlist, property, options.base.solver, tracer)?;
-    if options.threads > 1 && options.share_max_lbd > 0 {
+    let mut canon = FrameCtx::new(spec, netlist, property, &options.base, tracer)?;
+    if options.shares() {
         canon.solver.set_clause_sharing(options.share_max_lbd);
     }
 
@@ -1098,38 +1176,39 @@ pub fn check_property_pdr_parallel_traced(
         start: Barrier::new(options.threads),
         end: Barrier::new(options.threads),
         round: Mutex::new(None),
-        view: FrameView::new(),
-        exchange: ExchangeBuffer::new(EXCHANGE_CAPACITY),
+        view: options.dispatches().then(FrameView::new),
+        exchange: options
+            .shares()
+            .then(|| ExchangeBuffer::new(EXCHANGE_CAPACITY)),
         tallies: Mutex::new(Vec::new()),
     };
 
-    let (outcome, mut stats, canon, w0_tally, exchange_dropped) = std::thread::scope(|scope| {
+    let spawns = options.threads > 1;
+    let (outcome, mut stats, canon, w0_tally) = std::thread::scope(|scope| {
         for w in 1..shared.options.threads {
             let shared = &shared;
             scope.spawn(move || worker_thread(shared, w));
         }
-        ipcl_trace::set_worker(Some(0));
-        let mut engine = ParallelPdr {
+        if spawns {
+            ipcl_trace::set_worker(Some(0));
+        }
+        let mut engine = Scheduler {
             shared: &shared,
             canon,
-            w0: WorkerState::new(&shared, 0),
+            w0: None,
             stats: PdrStats::default(),
             heartbeat: Heartbeat::every_ms(ipcl_sat::HEARTBEAT_MS),
         };
         let outcome = engine.run(cancel);
-        // Shutdown handshake: publish the shutdown round; workers break
-        // out before the end barrier and push their tallies.
-        *shared.round.lock().expect("round slot lock") = Some(Arc::new(Round::shutdown()));
-        shared.start.wait();
-        ipcl_trace::set_worker(None);
-        let dropped = shared.exchange.dropped();
-        (
-            outcome,
-            engine.stats,
-            engine.canon,
-            engine.w0.tally(),
-            dropped,
-        )
+        if spawns {
+            // Shutdown handshake: publish the shutdown round; workers break
+            // out before the end barrier and push their tallies.
+            *shared.round.lock().expect("round slot lock") = Some(Arc::new(Round::shutdown()));
+            shared.start.wait();
+            ipcl_trace::set_worker(None);
+        }
+        let w0_tally = engine.w0.as_ref().map(WorkerState::tally);
+        (outcome, engine.stats, engine.canon, w0_tally)
     });
 
     // Aggregate: canonical counters carry the deterministic trajectory;
@@ -1138,11 +1217,11 @@ pub fn check_property_pdr_parallel_traced(
     stats.frames = canon.top();
     stats.clauses = canon.clauses;
     stats.solve_calls = canon.solve_calls;
-    stats.generalization_drops = 0;
+    stats.generalization_drops = canon.generalization_drops;
     stats.conflicts = canon.solver.stats().conflicts;
     stats.propagations = canon.solver.stats().propagations;
     stats.exported_clauses = canon.solver.stats().exported_clauses;
-    for tally in tallies.iter().chain(std::iter::once(&w0_tally)) {
+    for tally in tallies.iter().chain(w0_tally.as_ref()) {
         stats.solve_calls += tally.solve_calls;
         stats.generalization_drops += tally.generalization_drops;
         stats.conflicts += tally.conflicts;
@@ -1155,7 +1234,9 @@ pub fn check_property_pdr_parallel_traced(
     if tracer.is_enabled() {
         stats.emit(tracer, "pdr");
         canon.solver.stats().emit(tracer, "sat");
-        tracer.counter("pdr.exchange_dropped", exchange_dropped as u64);
+        if let Some(exchange) = &shared.exchange {
+            tracer.counter("pdr.exchange_dropped", exchange.dropped() as u64);
+        }
         let u = canon.enc.unroller().stats();
         tracer.counter("unroll.pdr.frames", u.frames);
         tracer.counter("unroll.pdr.gates", u.gates);

@@ -1,4 +1,4 @@
-//! Integration tests of the parallel PDR engine (ISSUE 8).
+//! Integration tests of the PDR round scheduler across worker counts.
 //!
 //! The headline guarantee under test: the work-stealing round scheduler is
 //! **deterministic by construction** — verdicts, counterexample traces and
@@ -7,18 +7,18 @@
 //! SAT/UNSAT bits while every model comes from the master's canonical
 //! solver in canonical order. The suite runs the worker matrix
 //! `{1, 2, 4, 8}` (with repeats) over proofs and over the broken-variant
-//! falsification matrix, checks agreement with the sequential engine's
-//! verdicts, and re-validates the certificate of every parallel proof.
+//! falsification matrix, checks the verdicts against an independent BMC
+//! run, and re-validates the certificate of every proof.
 
 use ipcl::core::example::ExampleArch;
 use ipcl::core::FunctionalSpec;
 use ipcl::pdr::deep::deep_pipeline;
-use ipcl::pdr::{
-    check_property_pdr, check_property_pdr_parallel, ParallelPdrOptions, PdrOptions, PdrOutcome,
-};
+use ipcl::pdr::{check_property_pdr_traced, ParallelPdrOptions, PdrOutcome, PdrResult};
 use ipcl::pipesim::BrokenVariant;
+use ipcl::rtl::Netlist;
 use ipcl::synth::{synthesize_broken_interlock, synthesize_interlock};
-use ipcl_bmc::{Latency, PropertyKind, SequentialProperty};
+use ipcl::trace::Tracer;
+use ipcl_bmc::{check_property, BmcOptions, Latency, PropertyKind, SequentialProperty};
 
 const WORKER_MATRIX: [usize; 4] = [1, 2, 4, 8];
 
@@ -33,6 +33,16 @@ fn options(threads: usize) -> ParallelPdrOptions {
     }
 }
 
+fn check(
+    spec: &FunctionalSpec,
+    netlist: &Netlist,
+    property: &SequentialProperty,
+    options: &ParallelPdrOptions,
+) -> PdrResult {
+    check_property_pdr_traced(spec, netlist, property, options, None, &Tracer::disabled())
+        .expect("test designs elaborate")
+}
+
 /// Proof determinism: the deep-chain certificate renders bit-identically
 /// at 1, 2, 4 and 8 workers and across repeated runs, and every proof's
 /// certificate re-validates with independent SAT queries.
@@ -44,8 +54,7 @@ fn certificates_are_bit_identical_across_worker_counts_and_runs() {
     let mut renders: Vec<String> = Vec::new();
     for threads in WORKER_MATRIX {
         for run in 0..2 {
-            let result =
-                check_property_pdr_parallel(&spec, &netlist, &property, &options(threads)).unwrap();
+            let result = check(&spec, &netlist, &property, &options(threads));
             let PdrOutcome::Proved { certificate, .. } = &result.outcome else {
                 panic!(
                     "deep chain must prove at {threads} workers (run {run}), got {:?}",
@@ -69,13 +78,18 @@ fn certificates_are_bit_identical_across_worker_counts_and_runs() {
     }
 }
 
-/// Falsification determinism and sequential agreement: on every broken
-/// variant × property direction, the parallel engine returns the same
-/// verdict as the sequential engine at every worker count, and its
-/// counterexample trace renders bit-identically across the matrix (and
-/// replays on the simulator).
+/// Falsification determinism and agreement with BMC: on every broken
+/// variant × property direction, PDR falsifies at every worker count
+/// exactly when an independent BMC run to depth 8 does (both on the
+/// unconditional semantics, `quiet_cycles = 0`), and its counterexample
+/// trace renders bit-identically across the matrix (and replays on the
+/// simulator).
 #[test]
 fn broken_variant_traces_are_bit_identical_and_agree_with_sequential() {
+    let bmc_options = BmcOptions {
+        quiet_cycles: 0,
+        ..BmcOptions::with_depth(8)
+    };
     let spec = example_spec();
     for variant in [
         BrokenVariant::IgnoreScoreboard,
@@ -84,22 +98,14 @@ fn broken_variant_traces_are_bit_identical_and_agree_with_sequential() {
     ] {
         let broken = synthesize_broken_interlock(&spec, variant);
         for property in SequentialProperty::both_directions(&spec, Latency::Combinational) {
-            let sequential =
-                check_property_pdr(&spec, broken.netlist(), &property, &PdrOptions::default())
-                    .unwrap();
+            let bmc = check_property(&spec, broken.netlist(), &property, &bmc_options).unwrap();
             let mut renders: Vec<Option<String>> = Vec::new();
             for threads in WORKER_MATRIX {
-                let parallel = check_property_pdr_parallel(
-                    &spec,
-                    broken.netlist(),
-                    &property,
-                    &options(threads),
-                )
-                .unwrap();
+                let parallel = check(&spec, broken.netlist(), &property, &options(threads));
                 assert_eq!(
-                    parallel.outcome.is_proved(),
-                    sequential.outcome.is_proved(),
-                    "{variant:?}/{}: parallel({threads}) disagrees with sequential",
+                    parallel.outcome.is_falsified(),
+                    bmc.outcome.is_falsified(),
+                    "{variant:?}/{}: PDR at {threads} workers disagrees with BMC",
                     property.name
                 );
                 if let Some(cex) = parallel.outcome.counterexample() {
@@ -136,13 +142,7 @@ fn stateless_netlists_prove_trivially_at_every_worker_count() {
     let synthesized = synthesize_interlock(&spec);
     for property in SequentialProperty::both_directions(&spec, Latency::Combinational) {
         for threads in [1, 4] {
-            let result = check_property_pdr_parallel(
-                &spec,
-                synthesized.netlist(),
-                &property,
-                &options(threads),
-            )
-            .unwrap();
+            let result = check(&spec, synthesized.netlist(), &property, &options(threads));
             let PdrOutcome::Proved { certificate, .. } = &result.outcome else {
                 panic!("{}: stateless proof failed", property.name);
             };
@@ -168,8 +168,7 @@ fn cube_and_conquer_split_is_deterministic_across_worker_counts() {
         SequentialProperty::for_stage(&spec, 0, PropertyKind::Performance, Latency::Combinational);
     let mut renders: Vec<String> = Vec::new();
     for threads in WORKER_MATRIX {
-        let result =
-            check_property_pdr_parallel(&spec, &netlist, &property, &split(threads)).unwrap();
+        let result = check(&spec, &netlist, &property, &split(threads));
         let PdrOutcome::Proved { certificate, .. } = &result.outcome else {
             panic!(
                 "split proof failed at {threads} workers: {:?}",
@@ -189,9 +188,7 @@ fn cube_and_conquer_split_is_deterministic_across_worker_counts() {
     for property in SequentialProperty::both_directions(&spec, Latency::Combinational) {
         let mut traces: Vec<Option<String>> = Vec::new();
         for threads in [1, 4] {
-            let result =
-                check_property_pdr_parallel(&spec, broken.netlist(), &property, &split(threads))
-                    .unwrap();
+            let result = check(&spec, broken.netlist(), &property, &split(threads));
             traces.push(result.outcome.counterexample().map(|cex| cex.render()));
         }
         assert_eq!(
@@ -212,14 +209,14 @@ fn sharing_knob_does_not_change_the_certificate() {
     let property =
         SequentialProperty::for_stage(&spec, 0, PropertyKind::Performance, Latency::Combinational);
     let reference = {
-        let result = check_property_pdr_parallel(&spec, &netlist, &property, &options(4)).unwrap();
+        let result = check(&spec, &netlist, &property, &options(4));
         result.outcome.certificate().expect("proved").render()
     };
     let unshared = ParallelPdrOptions {
         share_max_lbd: 0,
         ..options(4)
     };
-    let result = check_property_pdr_parallel(&spec, &netlist, &property, &unshared).unwrap();
+    let result = check(&spec, &netlist, &property, &unshared);
     assert_eq!(
         result.outcome.certificate().expect("proved").render(),
         reference,

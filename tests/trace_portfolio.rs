@@ -19,7 +19,7 @@ use ipcl::checker::{
 };
 use ipcl::core::example::ExampleArch;
 use ipcl::pdr::deep::deep_pipeline;
-use ipcl::pdr::{check_property_portfolio_traced, PdrOptions, PortfolioWinner};
+use ipcl::pdr::{check_property_portfolio_traced, ParallelPdrOptions, PdrOptions, PortfolioWinner};
 use ipcl::pipesim::BrokenVariant;
 use ipcl::synth::synthesize_broken_interlock;
 use ipcl::trace::report;
@@ -36,7 +36,8 @@ fn traced_deep_chain_snapshot() -> ipcl::trace::TraceSnapshot {
         &netlist,
         &property,
         &BmcOptions::with_depth(13),
-        &PdrOptions::default(),
+        &ParallelPdrOptions::for_threads(PdrOptions::default(), 1),
+        None,
         &tracer,
     )
     .expect("netlist elaborates");

@@ -17,12 +17,18 @@ use std::collections::BTreeMap;
 
 use ipcl::pdr::deep::deep_pipeline;
 use ipcl::pdr::{
-    check_property_pdr_traced, check_property_portfolio_traced, PdrOptions, PortfolioWinner,
+    check_property_pdr_traced, check_property_portfolio_traced, ParallelPdrOptions, PdrOptions,
+    PortfolioWinner,
 };
 use ipcl::trace::{report, TraceConfig, TraceSnapshot, Tracer, Value};
 use ipcl::tracetool::json::Json;
 use ipcl::tracetool::{chrome_trace, folded_stacks, ProfileDiff, ProfileDoc};
 use ipcl_bmc::{BmcOptions, Latency, PropertyKind, SequentialProperty};
+
+/// The options `check_property_pdr` runs with: one worker, singleton rounds.
+fn one_worker() -> ParallelPdrOptions {
+    ParallelPdrOptions::for_threads(PdrOptions::default(), 1)
+}
 
 /// One traced deep-chain-16 portfolio run.
 fn traced_portfolio_snapshot() -> TraceSnapshot {
@@ -35,7 +41,8 @@ fn traced_portfolio_snapshot() -> TraceSnapshot {
         &netlist,
         &property,
         &BmcOptions::with_depth(13),
-        &PdrOptions::default(),
+        &one_worker(),
+        None,
         &tracer,
     )
     .expect("netlist elaborates");
@@ -51,15 +58,9 @@ fn pdr_profile(runs: usize) -> ProfileDoc {
         SequentialProperty::for_stage(&spec, 0, PropertyKind::Performance, Latency::Combinational);
     let tracer = Tracer::new(TraceConfig::enabled());
     for _ in 0..runs {
-        let result = check_property_pdr_traced(
-            &spec,
-            &netlist,
-            &property,
-            &PdrOptions::default(),
-            None,
-            &tracer,
-        )
-        .expect("netlist elaborates");
+        let result =
+            check_property_pdr_traced(&spec, &netlist, &property, &one_worker(), None, &tracer)
+                .expect("netlist elaborates");
         assert!(result.outcome.is_proved());
     }
     let snapshot = tracer.snapshot().expect("snapshot");
@@ -205,15 +206,9 @@ fn heartbeats_flow_when_events_are_on_and_never_otherwise() {
     // Events on: the PDR and SAT engines beat at least once (the first
     // heartbeat of a run is always due), carrying their progress fields.
     let tracer = Tracer::new(TraceConfig::enabled());
-    let result = check_property_pdr_traced(
-        &spec,
-        &netlist,
-        &property,
-        &PdrOptions::default(),
-        None,
-        &tracer,
-    )
-    .expect("netlist elaborates");
+    let result =
+        check_property_pdr_traced(&spec, &netlist, &property, &one_worker(), None, &tracer)
+            .expect("netlist elaborates");
     assert!(result.outcome.is_proved());
     let snapshot = tracer.snapshot().expect("snapshot");
     let engines: std::collections::BTreeSet<&str> = snapshot
@@ -244,15 +239,8 @@ fn heartbeats_flow_when_events_are_on_and_never_otherwise() {
         events: false,
         ..TraceConfig::enabled()
     });
-    let result = check_property_pdr_traced(
-        &spec,
-        &netlist,
-        &property,
-        &PdrOptions::default(),
-        None,
-        &quiet,
-    )
-    .expect("netlist elaborates");
+    let result = check_property_pdr_traced(&spec, &netlist, &property, &one_worker(), None, &quiet)
+        .expect("netlist elaborates");
     assert!(result.outcome.is_proved());
     let snapshot = quiet.snapshot().expect("snapshot");
     assert_eq!(

@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 use ipcl_core::FunctionalSpec;
 use ipcl_expr::VarId;
 use ipcl_rtl::{Netlist, RtlError, SignalKind, Simulator};
+use ipcl_trace::json::write_json_string;
 
 use crate::property::SequentialProperty;
 
@@ -40,25 +41,6 @@ pub struct Replay {
     pub observations: Vec<BTreeMap<String, bool>>,
     /// Whether the property indeed evaluates false at the violation frame.
     pub violation_reproduced: bool,
-}
-
-/// Appends `s` as a JSON string literal (quotes, escapes). Local copy of
-/// `ipcl_tracetool::json::write_json_string` — the emit side must not pull
-/// the trace-analytics crate into the proof engine.
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl Counterexample {

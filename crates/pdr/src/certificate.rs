@@ -29,6 +29,7 @@ use ipcl_core::FunctionalSpec;
 use ipcl_expr::{Lit, VarId};
 use ipcl_rtl::{InitialState, Netlist, SignalKind};
 use ipcl_sat::{SatResult, Solver};
+use ipcl_trace::json::write_json_string;
 
 /// One literal of a certificate clause: a register and the polarity it must
 /// have for the literal to be true.
@@ -95,25 +96,6 @@ impl fmt::Display for CertificateCheck {
             verdict(self.safety)
         )
     }
-}
-
-/// Appends `s` as a JSON string literal (quotes, escapes). Local copy of
-/// `ipcl_tracetool::json::write_json_string` — the emit side must not pull
-/// the trace-analytics crate into the proof engine.
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl Certificate {

@@ -48,7 +48,7 @@ use ipcl_core::model::StageRef;
 use ipcl_core::{FunctionalSpec, FunctionalSpecBuilder};
 use ipcl_pdr::{Certificate, StateLiteral};
 use ipcl_rtl::{Gate, Netlist, SignalId, SignalKind};
-use ipcl_tracetool::json::{write_json_string, Json};
+use ipcl_trace::json::{write_json_string, Json};
 
 /// Which property of the specification a job asks about.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,6 +92,10 @@ impl PropertyRequest {
         ))
     }
 }
+
+/// The most worker threads one job may ask for: the proof engine spawns
+/// `threads - 1` OS threads per job, so the wire must not pick the count.
+pub const MAX_JOB_THREADS: u64 = 64;
 
 /// One verification job: the complete problem plus engine knobs.
 #[derive(Clone, Debug)]
@@ -201,7 +205,17 @@ impl JobRequest {
             Some("kinduction") => ProofStrategy::KInduction,
             Some(other) => return Err(format!("bad strategy '{other}'")),
         };
-        let threads = json.get("threads").and_then(Json::as_u64).unwrap_or(1) as usize;
+        let threads = match json.get("threads") {
+            None => 1,
+            Some(threads) => threads
+                .as_u64()
+                .ok_or("'threads' is not a non-negative integer")?,
+        };
+        if threads > MAX_JOB_THREADS {
+            return Err(format!(
+                "'threads' {threads} exceeds the maximum of {MAX_JOB_THREADS}"
+            ));
+        }
         Ok(JobRequest {
             spec,
             netlist,
@@ -211,7 +225,7 @@ impl JobRequest {
                 latency,
             },
             strategy,
-            threads,
+            threads: threads as usize,
         })
     }
 }
@@ -912,6 +926,42 @@ mod tests {
             assert_eq!(parsed.property, job.property);
             assert_eq!(parsed.strategy, job.strategy);
             assert_eq!(parsed.threads, job.threads);
+        }
+    }
+
+    #[test]
+    fn threads_above_the_bound_are_rejected_by_submit_and_batch() {
+        // Parsing only: no job runs and no thread starts.
+        let with_threads = |threads: u64| {
+            let mut job = roundtrip_job();
+            job.threads = threads as usize;
+            job
+        };
+        let fractional = Json::parse(
+            &with_threads(2)
+                .to_json_string()
+                .replace("\"threads\": 2", "\"threads\": 2.5"),
+        )
+        .unwrap();
+        assert!(JobRequest::from_json(&fractional)
+            .unwrap_err()
+            .contains("'threads'"));
+        for (threads, accepted) in [(MAX_JOB_THREADS, true), (MAX_JOB_THREADS + 1, false)] {
+            let job = Json::parse(&with_threads(threads).to_json_string()).unwrap();
+            let submitted = JobRequest::from_json(&job);
+            let batch = format!("{{{}}}", write_batch_json(&[with_threads(threads)]));
+            let batched = parse_batch(&Json::parse(&batch).unwrap());
+            if accepted {
+                assert_eq!(submitted.unwrap().threads as u64, threads);
+                assert_eq!(batched.unwrap()[0].threads as u64, threads);
+            } else {
+                assert!(submitted.unwrap_err().contains("'threads'"));
+                let err = batched.unwrap_err();
+                assert!(
+                    err.starts_with("job 0: ") && err.contains("'threads'"),
+                    "{err}"
+                );
+            }
         }
     }
 

@@ -19,8 +19,8 @@ use ipcl_serve::{
     process_job, Client, JobRequest, ProofCache, PropertyRequest, Server, ServerConfig,
 };
 use ipcl_synth::{synthesize_broken_interlock, synthesize_interlock_with, SynthesisOptions};
+use ipcl_trace::json::Json;
 use ipcl_trace::{TraceConfig, Tracer, Value};
-use ipcl_tracetool::json::Json;
 
 fn registered(spec: &FunctionalSpec) -> Netlist {
     let options = SynthesisOptions {

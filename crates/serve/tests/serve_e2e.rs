@@ -11,8 +11,8 @@ use ipcl_core::example::ExampleArch;
 use ipcl_pipesim::BrokenVariant;
 use ipcl_serve::{Client, JobRequest, PropertyRequest, Server, ServerConfig, Verdict};
 use ipcl_synth::{synthesize_broken_interlock, synthesize_interlock_with, SynthesisOptions};
+use ipcl_trace::json::Json;
 use ipcl_trace::Tracer;
-use ipcl_tracetool::json::Json;
 
 fn correct_job(stage_index: usize) -> JobRequest {
     let spec = ExampleArch::new().functional_spec();

@@ -1,20 +1,25 @@
-//! A small recursive-descent JSON parser for the artifacts this crate
-//! consumes (`profile.json`, `BENCH_*.json`, its own Chrome-trace output
-//! in tests).
+//! The workspace's one JSON reader and writer.
 //!
-//! The workspace builds offline with no serialisation crate, so — like
-//! `ipcl_trace::report`'s flat-object JSONL parser — this module is
-//! hand-rolled. Unlike that parser it handles the
-//! full recursive grammar (nested arrays/objects), which the profile and
-//! bench documents need. Numbers are held as `f64`: every metric in the
-//! artifacts is a count or a duration well inside the 2^53 exact-integer
-//! range.
+//! The workspace builds offline with no serialisation crate, so this
+//! module is hand-rolled. [`Json::parse`] reads the full recursive grammar
+//! for every consumer: the `trace.jsonl` event reader
+//! ([`crate::report::parse_jsonl`]), the `profile.json` / `BENCH_*.json`
+//! analytics of `ipcl-tracetool`, and the `ipcl-serve` wire protocol and
+//! proof cache. [`write_json_string`] and [`write_json_value`] are the
+//! matching writers.
+//!
+//! Numbers keep their literal's kind, as [`Value`] does: an integer literal
+//! (no fraction, no exponent) is read exactly as [`Json::U64`] or, when
+//! negative, [`Json::I64`]; everything else is a [`Json::F64`]. So
+//! `u64::MAX` and `i64::MIN` round-trip, and [`Json::as_u64`] never rounds.
 //!
 //! Nesting is bounded by [`MAX_DEPTH`]: a deeper document is an `Err`, not
 //! a stack overflow, so a hostile request line cannot abort a process that
 //! parses untrusted input (the `ipcl-serve` wire protocol).
 
 use std::fmt::Write as _;
+
+use crate::Value;
 
 /// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
 /// documents of this workspace nest fewer than ten levels deep.
@@ -27,13 +32,17 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (exact for integers up to 2^53).
-    Num(f64),
+    /// An integer literal that fits a `u64`.
+    U64(u64),
+    /// A negative integer literal that fits an `i64`.
+    I64(i64),
+    /// Any other number.
+    F64(f64),
     /// A string.
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object, in source order (duplicate keys keep the first).
+    /// An object: every member, in source order.
     Obj(Vec<(String, Json)>),
 }
 
@@ -41,6 +50,7 @@ impl Json {
     /// Parses `text` as one JSON document (trailing whitespace allowed).
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -53,7 +63,8 @@ impl Json {
         Ok(value)
     }
 
-    /// Member `key` of an object (`None` for non-objects/missing keys).
+    /// Member `key` of an object — the first, if the key repeats (`None`
+    /// for non-objects/missing keys).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
@@ -61,20 +72,22 @@ impl Json {
         }
     }
 
-    /// The value as a number.
+    /// The value as a number (integers above 2^53 are rounded).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Json::Num(v) => Some(*v),
+            Json::U64(v) => Some(*v as f64),
+            Json::I64(v) => Some(*v as f64),
+            Json::F64(v) => Some(*v),
             _ => None,
         }
     }
 
-    /// The value as a non-negative integer (must be exact).
+    /// The value as a non-negative integer, exactly: a literal with a
+    /// fraction or exponent, or a negative one, is `None`.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= 9.007_199_254_740_992e15 => {
-                Some(*v as u64)
-            }
+            Json::U64(v) => Some(*v),
+            Json::I64(v) => u64::try_from(*v).ok(),
             _ => None,
         }
     }
@@ -131,14 +144,41 @@ pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Writes a typed event field as JSON. An `F64` always carries a `.` (so
+/// it reads back as a float, not an integer); a non-finite one is `null`,
+/// which the event reader takes back as NaN.
+pub fn write_json_value(out: &mut String, value: &Value) {
+    match value {
+        Value::U64(v) => {
+            let _ = write!(out, "{v}");
+        }
+        Value::I64(v) => {
+            let _ = write!(out, "{v}");
+        }
+        Value::F64(v) if v.is_finite() => {
+            let start = out.len();
+            let _ = write!(out, "{v}");
+            if !out[start..].contains('.') {
+                out.push_str(".0");
+            }
+        }
+        Value::F64(_) => out.push_str("null"),
+        Value::Bool(v) => {
+            let _ = write!(out, "{v}");
+        }
+        Value::Str(v) => write_json_string(out, v),
+    }
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open around the current position.
     depth: usize,
 }
 
-impl<'a> Parser<'a> {
+impl Parser<'_> {
     fn skip_ws(&mut self) {
         while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
             self.pos += 1;
@@ -208,10 +248,7 @@ impl<'a> Parser<'a> {
         loop {
             let key = self.string()?;
             self.expect(b':')?;
-            let value = self.value()?;
-            if !members.iter().any(|(k, _)| *k == key) {
-                members.push((key, value));
-            }
+            members.push((key, self.value()?));
             match self.peek() {
                 Some(b',') => self.expect(b',')?,
                 Some(b'}') => {
@@ -247,59 +284,71 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or escape in one piece: both
+            // are ASCII, so the run ends on a character boundary.
+            let start = self.pos;
+            while self
+                .bytes
+                .get(self.pos)
+                .is_some_and(|b| !matches!(b, b'"' | b'\\'))
+            {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[start..self.pos]);
             let Some(&b) = self.bytes.get(self.pos) else {
                 return Err("unterminated string".to_owned());
             };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err("unterminated escape".to_owned());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
-                }
-                b => {
-                    let start = self.pos - 1;
-                    let width = match b {
-                        b if b < 0x80 => 1,
-                        b if b >= 0xf0 => 4,
-                        b if b >= 0xe0 => 3,
-                        _ => 2,
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(start..start + width)
-                        .ok_or("truncated UTF-8 sequence")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    self.pos = start + width;
-                }
+            if b == b'"' {
+                return Ok(out);
+            }
+            let Some(&esc) = self.bytes.get(self.pos) else {
+                return Err("unterminated escape".to_owned());
+            };
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => out.push(self.unicode_escape()?),
+                other => return Err(format!("bad escape '\\{}'", other as char)),
             }
         }
+    }
+
+    /// The character of a `\u` escape whose `\u` was just read. A UTF-16
+    /// high surrogate must be followed by an escaped low one (the pair is
+    /// one non-BMP character); a lone or reversed surrogate is an error.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let code = self.hex4()?;
+        let code = if (0xd800..0xdc00).contains(&code) {
+            if self.bytes.get(self.pos..self.pos + 2) != Some(b"\\u") {
+                return Err("unpaired surrogate in \\u escape".to_owned());
+            }
+            self.pos += 2;
+            let low = self.hex4()?;
+            if !(0xdc00..0xe000).contains(&low) {
+                return Err("unpaired surrogate in \\u escape".to_owned());
+            }
+            0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00)
+        } else {
+            code
+        };
+        char::from_u32(code).ok_or_else(|| "invalid \\u escape".to_owned())
+    }
+
+    fn hex4(&mut self) -> Result<u32, String> {
+        let hex = self
+            .text
+            .get(self.pos..self.pos + 4)
+            .ok_or("truncated \\u escape")?;
+        self.pos += 4;
+        u32::from_str_radix(hex, 16).map_err(|e| e.to_string())
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -312,12 +361,20 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        let text = &self.text[start..self.pos];
         if text.is_empty() {
             return Err(format!("expected a value at byte {start}"));
         }
+        if !text.contains(['.', 'e', 'E']) {
+            if let Ok(v) = text.parse::<u64>() {
+                return Ok(Json::U64(v));
+            }
+            if let Ok(v) = text.parse::<i64>() {
+                return Ok(Json::I64(v));
+            }
+        }
         text.parse::<f64>()
-            .map(Json::Num)
+            .map(Json::F64)
             .map_err(|e| format!("bad number {text:?}: {e}"))
     }
 }
@@ -369,8 +426,47 @@ mod tests {
     }
 
     #[test]
+    fn integers_are_read_exactly() {
+        let above_2_53 = Json::parse("9007199254740993").unwrap();
+        assert_eq!(above_2_53.as_u64(), Some(9_007_199_254_740_993));
+        assert_eq!(
+            Json::parse("18446744073709551615").unwrap(),
+            Json::U64(u64::MAX)
+        );
+        assert_eq!(
+            Json::parse("-9223372036854775808").unwrap(),
+            Json::I64(i64::MIN)
+        );
+        assert_eq!(Json::parse("2.0").unwrap(), Json::F64(2.0));
+        assert_eq!(Json::parse("2.5").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("1e3").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("-3").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("-3").unwrap().as_f64(), Some(-3.0));
+    }
+
+    #[test]
+    fn escaped_surrogate_pairs_decode_and_lone_surrogates_fail() {
+        assert_eq!(
+            Json::parse(r#""\ud83d\ude00""#).unwrap().as_str(),
+            Some("\u{1f600}")
+        );
+        // Lone high, high then a non-surrogate, lone low, reversed pair.
+        assert!(Json::parse(r#""\ud83d""#).is_err());
+        assert!(Json::parse(r#""\ud83dA""#).is_err());
+        assert!(Json::parse(r#""\ude00""#).is_err());
+        assert!(Json::parse(r#""\ude00\ud83d""#).is_err());
+    }
+
+    #[test]
+    fn objects_keep_repeated_keys_and_get_returns_the_first() {
+        let doc = Json::parse(r#"{"a": 1, "b": 2, "a": 3}"#).unwrap();
+        assert_eq!(doc.get("a"), Some(&Json::U64(1)));
+        assert_eq!(doc.as_object().unwrap().len(), 3);
+    }
+
+    #[test]
     fn round_trips_the_trace_crates_profile_output() {
-        // The exact shape `ipcl_trace::report::profile_json` emits.
+        // The exact shape `crate::report::profile_json` emits.
         let text = "{\n  \"wall_us\": 123,\n  \"root_span_us\": 100,\n  \"dropped_events\": 0,\n  \
                     \"spans\": [\n    {\"path\": [\"solve\"], \"total_us\": 100, \"self_us\": 40, \
                     \"count\": 1}\n  ],\n  \"counters\": {\n    \"sat.conflicts\": 12\n  },\n  \

@@ -37,7 +37,16 @@
 //! [`TraceSnapshot`]; [`report`] renders it as a human-readable profile
 //! summary and as machine-readable `trace.jsonl` / `profile.json`
 //! artifacts, and parses the JSONL back for post-hoc reconstruction.
+//!
+//! # JSON
+//!
+//! [`json`] is the workspace's one JSON module: the recursive parser
+//! ([`json::Json`]) and the string and [`Value`] writers. The artifacts
+//! above, `ipcl-tracetool`'s analytics, the certificate and counterexample
+//! renderers of the proof engines and the `ipcl-serve` wire protocol all
+//! read and write through it.
 
+pub mod json;
 pub mod report;
 
 use std::borrow::Cow;

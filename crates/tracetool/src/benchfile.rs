@@ -20,7 +20,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::Json;
+use ipcl_trace::json::Json;
 
 /// One measurement point of an experiment run, split into its identity
 /// fields (strings/bools — workload, engine, mode, …) and its numeric
@@ -78,16 +78,19 @@ fn parse_entry(value: &Json) -> Option<BenchEntry> {
     let mut entry = BenchEntry::default();
     for (key, value) in members {
         match value {
-            Json::Num(v) => {
-                entry.metrics.insert(key.clone(), *v);
-            }
             Json::Str(s) if key != "experiment" => {
                 entry.fields.insert(key.clone(), s.clone());
             }
             Json::Bool(b) => {
                 entry.fields.insert(key.clone(), b.to_string());
             }
-            _ => {} // arrays, nulls, nested objects, the experiment tag
+            _ => {
+                // Numbers are metrics; arrays, nulls, nested objects and
+                // the experiment tag are skipped.
+                if let Some(v) = value.as_f64() {
+                    entry.metrics.insert(key.clone(), v);
+                }
+            }
         }
     }
     Some(entry)

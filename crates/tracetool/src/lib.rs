@@ -16,14 +16,19 @@
 //! The `ipcl-tracetool` binary exposes export/diff/regress on the command
 //! line; [`watch::Watcher`] is embedded by the experiment binaries'
 //! `--watch` flag.
+//!
+//! Every document here is read and written with `ipcl_trace::json`, the
+//! workspace's one JSON module; [`json`] re-exports it under its old path.
 
 pub mod benchfile;
 pub mod diff;
 pub mod export;
-pub mod json;
 pub mod profile;
 pub mod regress;
 pub mod watch;
+
+/// `ipcl_trace::json` under its former path here.
+pub use ipcl_trace::json;
 
 pub use benchfile::{BenchEntry, BenchFile};
 pub use diff::{MetricDelta, ProfileDiff, SpanDelta};

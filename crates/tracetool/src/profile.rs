@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 
 use ipcl_trace::TraceSnapshot;
 
-use crate::json::Json;
+use ipcl_trace::json::Json;
 
 /// One span path of a profile document.
 #[derive(Clone, PartialEq, Eq, Debug)]

@@ -12,7 +12,7 @@
 use std::fmt::Write as _;
 
 use crate::benchfile::{BenchEntry, BenchFile};
-use crate::json::{write_json_string, Json};
+use ipcl_trace::json::{write_json_string, Json};
 
 /// Tolerance configuration for [`check`].
 #[derive(Clone, PartialEq, Debug)]

@@ -20,8 +20,8 @@ use ipcl::pdr::{
     check_property_pdr_traced, check_property_portfolio_traced, ParallelPdrOptions, PdrOptions,
     PortfolioWinner,
 };
+use ipcl::trace::json::Json;
 use ipcl::trace::{report, TraceConfig, TraceSnapshot, Tracer, Value};
-use ipcl::tracetool::json::Json;
 use ipcl::tracetool::{chrome_trace, folded_stacks, ProfileDiff, ProfileDoc};
 use ipcl_bmc::{BmcOptions, Latency, PropertyKind, SequentialProperty};
 
